@@ -355,56 +355,53 @@ def obs_overhead_comparison(*, repeats: int = 3, n_ops: int = _N_OPS) -> dict:
     of the hot-path overhead this guards.  The two legs are interleaved
     so drift (thermal, scheduler) hits both equally; min-of-N per leg.
     CI gates ``overhead_frac`` against :data:`OBS_OVERHEAD_CEILING`, and
-    ``registry_overhead_frac`` — a third leg that additionally feeds the
-    live-monitoring metrics registry with exactly the per-run calls the
-    scheduler makes (started/finished/cache-hit) — against the same
-    ceiling, so the ``repro watch`` plumbing can never creep into the
-    hot path unnoticed.
+    ``registry_overhead_frac`` — a third leg that additionally books the
+    per-run lifecycle records the scheduler books (started/finished plus
+    a cache hit) through :meth:`~repro.exec.Scheduler.event`, which folds
+    each into an :class:`~repro.exec.ExecutionMetrics` and passes it to
+    ``obs.emit`` — against the same ceiling, so the campaign fold can
+    never creep into the hot path unnoticed.
     """
     from repro import obs
     from repro.cpu.config import MachineConfig
+    from repro.exec import ExecutionMetrics, Scheduler
     from repro.experiments.runner import run_once, technique_by_name
-    from repro.obs import metrics as obs_metrics
 
     machine = MachineConfig().with_l2_latency(17)
     technique = technique_by_name("gated-vss")
     perf_counter = time.perf_counter
+    spec = "0" * 64
 
-    def one(enabled: bool, registry: bool = False) -> float:
+    def one(enabled: bool, fold: bool = False) -> float:
         if enabled:
             obs.enable()
-        if registry:
-            obs_metrics.reset_registry()
+        scheduler = Scheduler(metrics=ExecutionMetrics()) if fold else None
         try:
             t0 = perf_counter()
-            if registry:
-                # The scheduler's per-run registry feed, verbatim: one
-                # started/finished pair around the run plus a cache-hit
-                # tick — the full per-run cost of live monitoring.
-                obs_metrics.record_run_started()
+            if fold:
+                scheduler.event("run_started", spec=spec, slot=0, pool=False)
             run_once(
                 "mcf", technique=technique, machine=machine, n_ops=n_ops
             )
-            if registry:
-                obs_metrics.record_run_finished(
-                    wall_s=perf_counter() - t0, cpu_s=0.0, max_rss_kb=0.0
+            if fold:
+                scheduler.event(
+                    "run_finished", spec=spec, slot=0,
+                    wall_s=perf_counter() - t0, cpu_s=0.0, max_rss_kb=0.0,
                 )
-                obs_metrics.record_cache_hit("store")
+                scheduler.event("cache_hit", spec=spec, slot=1, source="store")
             return perf_counter() - t0
         finally:
-            if registry:
-                obs_metrics.reset_registry()
             if enabled:
                 obs.reset()
 
     one(False)
     one(True)  # warm both paths
-    one(True, registry=True)
+    one(True, fold=True)
     disabled_times, enabled_times, registry_times = [], [], []
     for _ in range(repeats):
         disabled_times.append(one(False))
         enabled_times.append(one(True))
-        registry_times.append(one(True, registry=True))
+        registry_times.append(one(True, fold=True))
     disabled = min(disabled_times)
     enabled = min(enabled_times)
     with_registry = min(registry_times)
@@ -588,7 +585,7 @@ def run_bench(
         f"  {report['obs_overhead']['overhead_frac'] * 100.0:+.2f}% with "
         f"telemetry enabled, "
         f"{report['obs_overhead']['registry_overhead_frac'] * 100.0:+.2f}% "
-        f"with the metrics registry fed too"
+        f"with the campaign fold fed too"
     )
 
     say("bench: surrogate sweep tier (calibrated grid vs cycle engine) ...")
@@ -660,9 +657,9 @@ def check_regression(
         and registry_overhead > OBS_OVERHEAD_CEILING
     ):
         failures.append(
-            f"metrics-registry overhead {registry_overhead:.1%} exceeds "
-            f"the {OBS_OVERHEAD_CEILING:.0%} ceiling (live-monitoring "
-            f"feeds must stay off the hot path)"
+            f"campaign-fold overhead {registry_overhead:.1%} exceeds "
+            f"the {OBS_OVERHEAD_CEILING:.0%} ceiling (the per-run "
+            f"lifecycle records must stay off the hot path)"
         )
 
     # Surrogate-tier gates: absolute speedup floor plus the live trust

@@ -643,23 +643,18 @@ def _cmd_trace(args) -> int:
 def _cmd_stats(args) -> int:
     import json
 
-    from repro.obs.views import (
-        aggregate,
-        iter_campaign_events,
-        render_stats,
-        summary_to_dict,
-    )
+    from repro.obs.views import aggregate, iter_campaign_events, render_stats
 
     try:
         events = iter_campaign_events(args.campaign)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = aggregate(events)
+    state = aggregate(events)
     if args.format == "json":
-        print(json.dumps(summary_to_dict(summary), indent=2, sort_keys=True))
+        print(json.dumps(state.summary_dict(), indent=2, sort_keys=True))
     else:
-        print(render_stats(summary))
+        print(render_stats(state))
     return 0
 
 

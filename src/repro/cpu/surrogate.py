@@ -79,9 +79,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro import obs as _obs
 from repro.memo import register_reset
-from repro.obs import metrics as _metrics
 
 SURROGATE_SCHEMA = 1
 """Artifact schema version; bump on any payload layout change."""
@@ -1100,10 +1098,4 @@ def surrogate_sweep(
     report.served = len(served_idx) - report.spot_check_failures
     report.fallbacks = len(fallback_idx) + report.spot_check_failures
     report.fallback_reasons = dict(reasons)
-    if _obs.is_enabled():
-        _metrics.record_surrogate_point(served=True, count=report.served)
-        for reason, count in report.fallback_reasons.items():
-            _metrics.record_surrogate_point(
-                served=False, reason=reason, count=count
-            )
     return results, report

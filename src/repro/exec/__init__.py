@@ -6,8 +6,9 @@ simulate; this package decides *how*.  Every figure point becomes a
 simulation — that a :class:`Scheduler` executes on a process pool (or
 serially), consulting a persistent content-addressed :class:`ResultStore`
 so that repeated campaigns only pay for what changed.  An
-:class:`ExecutionMetrics` object aggregates jobs/hit-rate/throughput and
-per-phase wall time for ``campaign_metrics.json``.
+:class:`ExecutionMetrics` object — the fold of the scheduler's lifecycle
+records — books jobs/hit-rate/throughput and per-phase wall time for
+``campaign_metrics.json``.
 
 :mod:`repro.exec.lifecycle` keeps the store healthy when it is shared
 across many clients: a size/recency index, LRU eviction under

@@ -58,7 +58,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro import obs as _obs
-from repro.obs import metrics as _metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.exec.spec import RunSpec
@@ -686,12 +685,6 @@ def collect_garbage(
             _obs.incr("store.evictions", report.evicted)
             _obs.incr("store.evicted_bytes", report.evicted_bytes)
             _obs.emit("store_gc", **report.to_dict())
-            _metrics.record_store_gc(
-                evicted=report.evicted,
-                evicted_bytes=report.evicted_bytes,
-                kept=report.kept,
-                pinned=report.pinned,
-            )
     return report
 
 

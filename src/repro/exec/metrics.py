@@ -1,9 +1,17 @@
 """Campaign execution metrics: jobs, cache effectiveness, throughput.
 
-One :class:`ExecutionMetrics` object rides along a whole campaign; every
-scheduler batch reports into it and every artefact phase is timed through
-the :meth:`ExecutionMetrics.phase` context manager.  ``to_dict()`` /
-``write()`` produce the machine-readable ``campaign_metrics.json``.
+:class:`ExecutionMetrics` is the scheduler's fold of its own lifecycle
+records: a :class:`~repro.obs.state.CampaignState` that every
+:class:`~repro.exec.scheduler.Scheduler` batch folds each record into as
+it builds it — with observability on or off — so its totals are exactly
+what folding the campaign's ``events.jsonl`` gives.  Artefact phases are
+timed through the :meth:`ExecutionMetrics.phase` context manager.
+``to_dict()`` / ``write()`` produce the machine-readable
+``campaign_metrics.json``.
+
+Its ``failures`` counts jobs given up on (from ``batch_finished``),
+while ``repro stats`` counts failed attempts (``run_failed``): two views
+of the same fold.
 """
 
 from __future__ import annotations
@@ -13,52 +21,17 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from repro.obs.state import CampaignState
+
 METRICS_SCHEMA_VERSION = 1
 
 
-class ExecutionMetrics:
+class ExecutionMetrics(CampaignState):
     """Aggregated counters and wall times for one campaign."""
 
     def __init__(self) -> None:
-        self.jobs_total = 0
-        self.jobs_executed = 0
-        self.cache_hits = 0
-        self.dedup_waits = 0
-        self.retries = 0
-        self.timeouts = 0
-        self.failures = 0
-        self.execution_wall_s = 0.0
-        self.phase_wall_s: dict[str, float] = {}
+        super().__init__()
         self._started = time.perf_counter()
-
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-
-    def record_batch(
-        self,
-        *,
-        jobs: int,
-        cache_hits: int,
-        executed: int,
-        wall_s: float,
-        retries: int = 0,
-        failures: int = 0,
-        dedup_waits: int = 0,
-    ) -> None:
-        """Fold one scheduler batch into the campaign totals.
-
-        ``dedup_waits`` counts jobs this batch did not execute because a
-        concurrent scheduler (another process) held the single-flight
-        claim and committed the result first.
-        """
-        self.jobs_total += jobs
-        self.cache_hits += cache_hits
-        self.jobs_executed += executed
-        self.execution_wall_s += wall_s
-        self.retries += retries
-        self.failures += failures
-        self.dedup_waits += dedup_waits
 
     @contextmanager
     def phase(self, name: str):
@@ -67,12 +40,35 @@ class ExecutionMetrics:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            self.phase_wall_s[name] = self.phase_wall_s.get(name, 0.0) + elapsed
+            self.apply(
+                {
+                    "event": "phase_finished",
+                    "name": name,
+                    "wall_s": time.perf_counter() - start,
+                }
+            )
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+
+    @property
+    def retries(self) -> int:
+        """Serial retries of failed jobs (``run_retried`` records)."""
+        return self.total("retries")
+
+    @property
+    def timeouts(self) -> int:
+        """Jobs the pool abandoned at its budget (``run_requeued`` records)."""
+        return self.total("requeues")
+
+    @property
+    def phase_wall_s(self) -> dict[str, float]:
+        return {
+            name: p.wall_s
+            for name, p in self.phases.items()
+            if p.wall_s is not None
+        }
 
     @property
     def hit_rate(self) -> float:
@@ -112,7 +108,7 @@ class ExecutionMetrics:
             "execution_wall_s": self.execution_wall_s,
             "throughput_runs_per_s": self.throughput_runs_per_s,
             "total_wall_s": self.total_wall_s,
-            "phase_wall_s": dict(self.phase_wall_s),
+            "phase_wall_s": self.phase_wall_s,
         }
 
     def write(self, path: str | Path, *, extra: dict | None = None) -> Path:

@@ -21,11 +21,14 @@ results, in order, with five behaviours layered on top of plain execution:
    ``run_requeued``, failed jobs emit ``run_retried``).  The abandoned
    pool is shut down with ``cancel_futures=True`` so queued work never
    runs behind our back.
-5. **Observability** — with :mod:`repro.obs` enabled, every run start /
-   finish / failure / retry / cache hit lands in the campaign event log
-   (with worker pid, wall/CPU time and peak RSS measured in the worker),
-   and the pool wait loop emits periodic heartbeats naming straggler
-   jobs.  Disabled (the default), none of this code runs.
+5. **One book** — every run start / finish / failure / retry / requeue /
+   timeout / cache hit and every batch end is one lifecycle record, built
+   once by :meth:`Scheduler.event`: it is always folded into the
+   campaign's :class:`~repro.exec.metrics.ExecutionMetrics`, and with
+   :mod:`repro.obs` enabled it is also appended to the campaign event log
+   (run records then carry worker pid, wall/CPU time and peak RSS
+   measured in the worker), and the pool wait loop emits periodic
+   heartbeats naming straggler jobs.
 6. **Store lifecycle** (:mod:`repro.exec.lifecycle`) — when a store is
    attached, each batch pins every spec hash it references in a
    :class:`~repro.exec.lifecycle.CampaignManifest` (so a concurrent
@@ -42,8 +45,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro import obs as _obs
 from repro.obs import metrics as _metrics
@@ -64,6 +68,28 @@ DEFAULT_HEARTBEAT_S = 30.0
 
 class SchedulerError(RuntimeError):
     """A job kept failing after every retry."""
+
+
+class _Batch:
+    """The working set of one :meth:`Scheduler.run` call."""
+
+    __slots__ = (
+        "specs", "keys", "results", "note", "observed",
+        "executed", "dedup_waits", "failures",
+    )
+
+    def __init__(self, specs, keys, note, observed) -> None:
+        self.specs: Sequence[RunSpec] = specs
+        self.keys: list[str] = keys
+        self.results: list[NetSavingsResult | None] = [None] * len(specs)
+        self.note: Callable[[str], None] = note
+        self.observed: bool = observed
+        #: Executions that produced a result (one run_finished each).
+        self.executed = 0
+        #: Misses served by another process's single-flight claim.
+        self.dedup_waits = 0
+        #: Jobs given up on after every retry.
+        self.failures = 0
 
 
 def execute_spec(spec: RunSpec) -> NetSavingsResult:
@@ -115,7 +141,7 @@ class Scheduler:
             abandons the pool (cancelling everything still queued) and
             runs the abandoned jobs serially.
         retries: How many serial retry rounds a *failed* job gets.
-        metrics: Optional campaign-wide metrics aggregator.
+        metrics: Optional campaign-wide fold of every lifecycle record.
         progress: Default progress callback for :meth:`run` (a per-call
             callback overrides it).
         heartbeat_s: Interval of the straggler heartbeat emitted to the
@@ -159,6 +185,13 @@ class Scheduler:
     # Public API
     # ------------------------------------------------------------------
 
+    def event(self, kind: str, **fields: Any) -> None:
+        """Book one lifecycle record: fold it into :attr:`metrics` and, with
+        observability on, append it to the campaign event log."""
+        if self.metrics is not None:
+            self.metrics.apply({"event": kind, **fields})
+        _obs.emit(kind, **fields)
+
     def run(
         self,
         specs: Sequence[RunSpec],
@@ -167,38 +200,79 @@ class Scheduler:
         """Execute ``specs``; returns results in the same order.
 
         Equivalent to calling ``spec.execute()`` in a loop (runs are
-        deterministic), but cached, deduplicated, and parallel.
+        deterministic), but cached, deduplicated, and parallel.  The
+        batch's ``batch_finished`` record is booked even when a job fails
+        for good and :class:`SchedulerError` propagates.
         """
         start = time.perf_counter()
-        results: list[NetSavingsResult | None] = [None] * len(specs)
         if progress is None:
             progress = self.progress
         note = progress if progress is not None else (lambda _msg: None)
-        observed = _obs.is_enabled()
+        batch = _Batch(
+            specs, [spec.content_hash() for spec in specs], note,
+            _obs.is_enabled(),
+        )
+        results = batch.results
 
         # Store lookups + in-batch dedup: map each unique missing hash to
         # every slot that wants it.
         pending: dict[str, list[int]] = {}
-        keys: list[str] = []
         cache_hits = 0
-        for i, spec in enumerate(specs):
-            key = spec.content_hash()
-            keys.append(key)
-            if key in pending:
-                pending[key].append(i)
-                continue
-            cached = self.store.get(spec) if self.store is not None else None
-            if cached is not None:
-                results[i] = cached
-                cache_hits += 1
-                if observed:
-                    _obs.emit("cache_hit", spec=key, slot=i, source="store")
-                    _metrics.record_cache_hit("store")
-            else:
-                pending[key] = [i]
+        try:
+            for i, (spec, key) in enumerate(zip(specs, batch.keys)):
+                if key in pending:
+                    pending[key].append(i)
+                    continue
+                cached = (
+                    self.store.get(spec) if self.store is not None else None
+                )
+                if cached is not None:
+                    results[i] = cached
+                    cache_hits += 1
+                    self.event("cache_hit", spec=key, slot=i, source="store")
+                else:
+                    pending[key] = [i]
+            self._execute_misses(batch, pending)
+            for key, slots in pending.items():
+                for i in slots[1:]:
+                    results[i] = results[slots[0]]
+                    cache_hits += 1
+                    self.event("cache_hit", spec=key, slot=i, source="batch")
+        finally:
+            wall = time.perf_counter() - start
+            self.event(
+                "batch_finished",
+                jobs=len(specs),
+                cache_hits=cache_hits,
+                executed=batch.executed,
+                dedup_waits=batch.dedup_waits,
+                failures=batch.failures,
+                wall_s=wall,
+            )
+            if len(specs) > 1:
+                rate = batch.executed / wall if wall > 0 else 0.0
+                waits = batch.dedup_waits
+                deduped = f", {waits} deduped" if waits else ""
+                note(
+                    f"batch: {len(specs)} jobs, {cache_hits} cached{deduped}, "
+                    f"{batch.executed} executed in {wall:.1f} s "
+                    f"({rate:.2f} runs/s)"
+                )
+            log_path = _obs.log_path() if batch.observed else None
+            if log_path:
+                _metrics.write_registry_snapshot(Path(log_path).parent)
+        assert all(r is not None for r in results)
+        return results  # type: ignore[return-value]
 
-        executed = 0
-        dedup_waits = 0
+    # ------------------------------------------------------------------
+    # Execution paths
+    # ------------------------------------------------------------------
+
+    def _execute_misses(
+        self, batch: _Batch, pending: dict[str, list[int]]
+    ) -> None:
+        """Execute every store miss once, or wait on another process's."""
+        specs, keys = batch.specs, list(pending)
         manifest: CampaignManifest | None = None
         claims: SingleFlight | None = None
         foreign: list[str] = []
@@ -207,23 +281,18 @@ class Scheduler:
             # of the batch: a concurrent `repro store gc` must never
             # evict under an in-progress campaign.
             manifest = CampaignManifest(self.store.root, label="scheduler")
-            manifest.add(keys)
+            manifest.add(batch.keys)
             if pending and self.single_flight:
                 claims = SingleFlight(self.store)
-                foreign = [
-                    key for key in pending if not claims.try_claim(key)
-                ]
+                foreign = [key for key in keys if not claims.try_claim(key)]
         try:
             foreign_set = set(foreign)
             todo = [
-                slots[0]
-                for key, slots in pending.items()
-                if key not in foreign_set
+                pending[key][0] for key in keys if key not in foreign_set
             ]
             if todo:
                 with _obs.span("scheduler.execute"):
-                    self._execute_pending(specs, todo, results, note)
-                executed = len(todo)
+                    self._execute_pending(batch, todo)
             for key in foreign:
                 # Another process claimed this hash first: wait for its
                 # committed result instead of duplicating the work.  A
@@ -234,24 +303,19 @@ class Scheduler:
                     specs[slot], key, timeout_s=self.timeout_s
                 )
                 if got is not None:
-                    results[slot] = got
-                    dedup_waits += 1
-                    if observed:
-                        _obs.emit(
-                            "cache_hit",
-                            spec=key,
-                            slot=slot,
-                            source="single-flight",
-                        )
-                        _metrics.record_cache_hit("single-flight")
+                    batch.results[slot] = got
+                    batch.dedup_waits += 1
+                    self.event(
+                        "cache_hit", spec=key, slot=slot,
+                        source="single-flight",
+                    )
                 else:
-                    note(
+                    batch.note(
                         f"single-flight holder for {key[:16]} vanished; "
                         f"computing locally"
                     )
                     with _obs.span("scheduler.execute"):
-                        self._execute_pending(specs, [slot], results, note)
-                    executed += 1
+                        self._execute_pending(batch, [slot])
         finally:
             if claims is not None:
                 claims.release_all()
@@ -259,212 +323,126 @@ class Scheduler:
                 manifest.close()
             if self.store is not None:
                 self.store.flush_index()
-        for key, slots in pending.items():
-            for i in slots[1:]:
-                results[i] = results[slots[0]]
-                cache_hits += 1
-                if observed:
-                    _obs.emit("cache_hit", spec=key, slot=i, source="batch")
-                    _metrics.record_cache_hit("batch")
 
-        wall = time.perf_counter() - start
-        if self.metrics is not None:
-            self.metrics.record_batch(
-                jobs=len(specs),
-                cache_hits=cache_hits,
-                executed=executed,
-                wall_s=wall,
-                dedup_waits=dedup_waits,
-            )
-        if len(specs) > 1:
-            rate = executed / wall if wall > 0 else 0.0
-            deduped = f", {dedup_waits} deduped" if dedup_waits else ""
-            note(
-                f"batch: {len(specs)} jobs, {cache_hits} cached{deduped}, "
-                f"{executed} executed in {wall:.1f} s ({rate:.2f} runs/s)"
-            )
-        if observed:
-            # Batch boundary: one event for tailers, a registry refresh
-            # for scrapers.  The store gauges read index.json once per
-            # batch — never per run — so the accounting sidecar stays off
-            # the hot path.
-            _obs.emit(
-                "batch_finished",
-                jobs=len(specs),
-                cache_hits=cache_hits,
-                executed=executed,
-                dedup_waits=dedup_waits,
-                wall_s=wall,
-            )
-            _metrics.record_batch_finished(
-                jobs=len(specs),
-                cache_hits=cache_hits,
-                executed=executed,
-                wall_s=wall,
-            )
-            if self.store is not None:
-                payload = self.store.index.load()
-                entries = payload.get("entries") or {}
-                _metrics.record_store_index(
-                    entries=len(entries),
-                    total_bytes=sum(
-                        int(e.get("size") or 0) for e in entries.values()
-                    ),
-                    generation=int(payload.get("generation") or 0),
-                )
-            log_path = _obs.log_path()
-            if log_path:
-                _metrics.write_registry_snapshot(Path(log_path).parent)
-        assert all(r is not None for r in results)
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Execution paths
-    # ------------------------------------------------------------------
-
-    def _execute_pending(
-        self,
-        specs: Sequence[RunSpec],
-        todo: list[int],
-        results: list,
-        note: Callable[[str], None],
-    ) -> None:
+    def _execute_pending(self, batch: _Batch, todo: list[int]) -> None:
         """Run every slot in ``todo``, with serial retries on failure."""
         if self.max_workers > 1 and len(todo) > 1:
-            failed, abandoned = self._run_pool(specs, todo, results, note)
+            failed, abandoned = self._run_pool(batch, todo)
         else:
-            failed = self._run_serial(specs, todo, results, note)
+            failed = self._run_serial(batch, todo)
             abandoned = []
         if abandoned:
             # Abandoned jobs never produced a result anywhere (their
             # futures were cancelled or their workers outlived the
-            # budget), so this serial pass is their *first* execution —
-            # accounted as timeouts, not retries, or the same job would
-            # be double-counted across the retry rounds below.  The event
-            # mirrors the metrics bucket: ``run_requeued``, distinct from
-            # ``run_retried``, so ``repro stats`` never reports the same
-            # job as both a timeout and a retry.
-            if self.metrics is not None:
-                self.metrics.timeouts += len(abandoned)
-            note(f"re-running {len(abandoned)} abandoned job(s) serially")
-            if _obs.is_enabled():
-                for i in abandoned:
-                    _obs.emit(
-                        "run_requeued",
-                        spec=specs[i].content_hash(),
-                        slot=i,
-                        reason="pool timeout",
-                    )
-                    _metrics.record_run_requeued()
-            failed.extend(self._run_serial(specs, abandoned, results, note))
+            # budget), so this serial pass is their *first* execution:
+            # booked as ``run_requeued`` (ExecutionMetrics.timeouts), never
+            # as ``run_retried``, so the same job is not double-counted
+            # across the retry rounds below.
+            batch.note(
+                f"re-running {len(abandoned)} abandoned job(s) serially"
+            )
+            for i in abandoned:
+                self.event(
+                    "run_requeued", spec=batch.keys[i], slot=i,
+                    reason="pool timeout",
+                )
+            failed.extend(self._run_serial(batch, abandoned))
         for attempt in range(self.retries):
             if not failed:
                 break
-            if self.metrics is not None:
-                self.metrics.retries += len(failed)
-            note(
+            batch.note(
                 f"retrying {len(failed)} failed job(s) serially "
                 f"(attempt {attempt + 1}/{self.retries})"
             )
-            if _obs.is_enabled():
-                for i, exc in failed:
-                    _obs.emit(
-                        "run_retried",
-                        spec=specs[i].content_hash(),
-                        slot=i,
-                        attempt=attempt + 1,
-                        reason=repr(exc),
-                    )
-                    _metrics.record_run_retried()
-            failed = self._run_serial(
-                specs, [i for i, _exc in failed], results, note
-            )
+            for i, exc in failed:
+                self.event(
+                    "run_retried", spec=batch.keys[i], slot=i,
+                    attempt=attempt + 1, reason=repr(exc),
+                )
+            failed = self._run_serial(batch, [i for i, _exc in failed])
         if failed:
-            if self.metrics is not None:
-                self.metrics.failures += len(failed)
+            batch.failures += len(failed)
             slots = [i for i, _exc in failed]
             raise SchedulerError(
                 f"{len(failed)} job(s) failed after {self.retries} "
-                f"retries: slots {slots}, first spec {specs[slots[0]]}"
+                f"retries: slots {slots}, first spec {batch.specs[slots[0]]}"
             ) from failed[0][1]
 
-    def _run_serial(
+    def _settle(
         self,
-        specs: Sequence[RunSpec],
-        todo: list[int],
-        results: list,
-        note: Callable[[str], None],
+        batch: _Batch,
+        i: int,
+        outcome: Callable[[], Any],
+        failed: list[tuple[int, BaseException]],
+    ) -> bool:
+        """The one completion handler, serial and pool alike.
+
+        ``outcome`` yields the execution's return value or raises its
+        error.  A failure is booked and queued for retry; a result is
+        booked (with its worker telemetry and time series when observed)
+        and committed to the store.  Returns whether a result arrived.
+        """
+        key = batch.keys[i]
+        try:
+            value = outcome()
+        except Exception as exc:
+            failed.append((i, exc))
+            self.event("run_failed", spec=key, slot=i, error=repr(exc))
+            return False
+        meta: dict[str, Any] = {}
+        if batch.observed:
+            value, meta = value
+            series = meta.pop("timeseries", None)
+            if series:
+                _obs.emit_series(spec=key, payload=series)
+        self.event("run_finished", spec=key, slot=i, **meta)
+        batch.results[i] = value
+        if self.store is not None:
+            self.store.put(batch.specs[i], value)
+        batch.executed += 1
+        return True
+
+    @staticmethod
+    def _progress(batch: _Batch, done: int, total: int) -> None:
+        step = max(1, total // 8)
+        if total > 1 and (done % step == 0 or done == total):
+            batch.note(f"  jobs {done}/{total} done")
+
+    def _run_serial(
+        self, batch: _Batch, todo: list[int]
     ) -> list[tuple[int, BaseException]]:
-        observed = _obs.is_enabled()
+        entry = execute_spec_observed if batch.observed else execute_spec
         failed: list[tuple[int, BaseException]] = []
-        step = max(1, len(todo) // 8)
         for n, i in enumerate(todo, start=1):
-            key = specs[i].content_hash() if observed else None
-            if observed:
-                _obs.emit("run_started", spec=key, slot=i, pool=False)
-                _metrics.record_run_started()
-            try:
-                if observed:
-                    result, meta = execute_spec_observed(specs[i])
-                else:
-                    result = execute_spec(specs[i])
-            except Exception as exc:
-                failed.append((i, exc))
-                if observed:
-                    _obs.emit("run_failed", spec=key, slot=i, error=repr(exc))
-                    _metrics.record_run_failed()
-                continue
-            if observed:
-                series = meta.pop("timeseries", None)
-                if series:
-                    _obs.emit_series(spec=key, payload=series)
-                _obs.emit("run_finished", spec=key, slot=i, **meta)
-                _metrics.record_run_finished(
-                    wall_s=meta.get("wall_s", 0.0),
-                    cpu_s=meta.get("cpu_s", 0.0),
-                    max_rss_kb=meta.get("max_rss_kb", 0.0),
-                )
-            self._commit(specs[i], result, results, i)
-            if len(todo) > 1 and (n % step == 0 or n == len(todo)):
-                note(f"  jobs {n}/{len(todo)} done")
+            self.event("run_started", spec=batch.keys[i], slot=i, pool=False)
+            if self._settle(batch, i, partial(entry, batch.specs[i]), failed):
+                self._progress(batch, n, len(todo))
         return failed
 
     def _run_pool(
-        self,
-        specs: Sequence[RunSpec],
-        todo: list[int],
-        results: list,
-        note: Callable[[str], None],
+        self, batch: _Batch, todo: list[int]
     ) -> tuple[list[tuple[int, BaseException]], list[int]]:
         """Pool execution; returns ``(failed, abandoned_slots)``."""
         try:
             executor = ProcessPoolExecutor(max_workers=self.max_workers)
         except (OSError, ValueError, ImportError) as exc:
-            note(f"process pool unavailable ({exc!r}); running serially")
-            return self._run_serial(specs, todo, results, note), []
-        observed = _obs.is_enabled()
+            batch.note(f"process pool unavailable ({exc!r}); running serially")
+            return self._run_serial(batch, todo), []
+        observed = batch.observed
         entry = execute_spec_observed if observed else execute_spec
         failed: list[tuple[int, BaseException]] = []
         abandoned: list[int] = []
         done_count = 0
-        step = max(1, len(todo) // 8)
         start = time.monotonic()
         budget = None if self.timeout_s is None else self.timeout_s * len(todo)
         deadline = None if budget is None else start + budget
         wait_at_shutdown = True
         try:
             futures = {
-                executor.submit(entry, specs[i]): i for i in todo
+                executor.submit(entry, batch.specs[i]): i for i in todo
             }
-            if observed:
-                for i in todo:
-                    _obs.emit(
-                        "run_started",
-                        spec=specs[i].content_hash(),
-                        slot=i,
-                        pool=True,
-                    )
-                    _metrics.record_run_started()
+            for i in todo:
+                self.event("run_started", spec=batch.keys[i], slot=i, pool=True)
             pending = set(futures)
             last_progress = start
             last_beat = start
@@ -481,37 +459,9 @@ class Scheduler:
                 )
                 for future in finished:
                     i = futures.pop(future)
-                    try:
-                        value = future.result()
-                    except Exception as exc:
-                        failed.append((i, exc))
-                        if observed:
-                            _obs.emit(
-                                "run_failed",
-                                spec=specs[i].content_hash(),
-                                slot=i,
-                                error=repr(exc),
-                            )
-                            _metrics.record_run_failed()
-                        continue
-                    if observed:
-                        result, meta = value
-                        series = meta.pop("timeseries", None)
-                        key = specs[i].content_hash()
-                        if series:
-                            _obs.emit_series(spec=key, payload=series)
-                        _obs.emit("run_finished", spec=key, slot=i, **meta)
-                        _metrics.record_run_finished(
-                            wall_s=meta.get("wall_s", 0.0),
-                            cpu_s=meta.get("cpu_s", 0.0),
-                            max_rss_kb=meta.get("max_rss_kb", 0.0),
-                        )
-                    else:
-                        result = value
-                    self._commit(specs[i], result, results, i)
-                    done_count += 1
-                    if done_count % step == 0 or done_count == len(todo):
-                        note(f"  jobs {done_count}/{len(todo)} done")
+                    if self._settle(batch, i, future.result, failed):
+                        done_count += 1
+                        self._progress(batch, done_count, len(todo))
                 now = time.monotonic()
                 if finished:
                     last_progress = now
@@ -521,20 +471,16 @@ class Scheduler:
                     # possibly-wedged workers) and hand the outstanding
                     # slots back for one serial pass.
                     abandoned = sorted(futures[f] for f in pending)
-                    note(
+                    batch.note(
                         f"pool budget of {budget:.0f} s exhausted with "
                         f"{len(abandoned)} job(s) outstanding; "
                         f"re-running serially"
                     )
-                    if observed:
-                        for i in abandoned:
-                            _obs.emit(
-                                "run_timeout",
-                                spec=specs[i].content_hash(),
-                                slot=i,
-                                budget_s=budget,
-                            )
-                            _metrics.record_run_timeout()
+                    for i in abandoned:
+                        self.event(
+                            "run_timeout", spec=batch.keys[i], slot=i,
+                            budget_s=budget,
+                        )
                     wait_at_shutdown = False
                     break
                 if (
@@ -547,11 +493,10 @@ class Scheduler:
                     # least once per interval while the pool is draining,
                     # so a live tailer always has a recent done/total
                     # picture even between run events.
-                    _obs.emit(
+                    self.event(
                         "heartbeat",
                         outstanding=[
-                            specs[futures[f]].content_hash()[:16]
-                            for f in pending
+                            batch.keys[futures[f]][:16] for f in pending
                         ],
                         done=done_count,
                         total=len(todo),
@@ -566,10 +511,3 @@ class Scheduler:
         finally:
             executor.shutdown(wait=wait_at_shutdown, cancel_futures=True)
         return failed, abandoned
-
-    def _commit(
-        self, spec: RunSpec, result: NetSavingsResult, results: list, slot: int
-    ) -> None:
-        results[slot] = result
-        if self.store is not None:
-            self.store.put(spec, result)

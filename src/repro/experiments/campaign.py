@@ -129,10 +129,9 @@ def run_campaign(
 
     owned_obs = observe and not obs.is_enabled()
     if owned_obs:
+        # Attaching the log starts a fresh live fold, so the metrics
+        # snapshots describe this campaign only.
         obs.enable(out / "events.jsonl")
-        # A campaign that owns its log also owns the metrics registry:
-        # start from zero so the snapshots describe this campaign only.
-        obs_metrics.reset_registry()
     started = time.time()
     status = "failed"
     try:

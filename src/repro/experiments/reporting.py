@@ -11,31 +11,7 @@ from repro.experiments.figures import (
     BestIntervalFigure,
     ComparisonFigure,
 )
-
-
-def _rule(widths: list[int]) -> str:
-    return "+".join("-" * (w + 2) for w in widths).join("++")
-
-
-def render_table(headers: list[str], rows: list[list[str]]) -> str:
-    """Simple fixed-width ASCII table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    rule = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
-    lines.append(rule)
-    lines.append(
-        "|" + "|".join(f" {h:<{w}} " for h, w in zip(headers, widths)) + "|"
-    )
-    lines.append(rule)
-    for row in rows:
-        lines.append(
-            "|" + "|".join(f" {c:<{w}} " for c, w in zip(row, widths)) + "|"
-        )
-    lines.append(rule)
-    return "\n".join(lines)
+from repro.obs.views import render_table
 
 
 def render_comparison(fig: ComparisonFigure) -> str:

@@ -4,13 +4,13 @@
 *how* it ran without changing *what* it computes: hierarchical timing
 spans and named counters (:func:`span` / :func:`incr`), a structured
 JSONL event log per campaign (:mod:`repro.obs.events`), the
-aggregation behind the ``repro trace`` / ``repro stats`` CLI views
-(:mod:`repro.obs.views`), and — new in this era — live monitoring: a
-Prometheus-style metrics registry (:mod:`repro.obs.metrics`), crash-safe
-log tailing (:mod:`repro.obs.tail`), the :class:`CampaignState` fold
-behind ``repro watch`` (:mod:`repro.obs.state` / :mod:`repro.obs.watch`)
-and the auto-refreshing ``live.html`` status page
-(:mod:`repro.obs.live`).
+one fold of that log, :class:`CampaignState` (:mod:`repro.obs.state`),
+and the views rendered from it: ``repro trace`` / ``repro stats``
+(:mod:`repro.obs.views`), Prometheus-style ``metrics.prom`` /
+``metrics.json`` snapshots (:mod:`repro.obs.metrics`), the HTML report
+(:mod:`repro.obs.report`), ``repro watch`` (:mod:`repro.obs.watch`) and
+the auto-refreshing ``live.html`` status page (:mod:`repro.obs.live`),
+with crash-safe log tailing (:mod:`repro.obs.tail`) for the live ones.
 
 Everything hangs off one enable flag.  While disabled (the default)
 every instrumentation site reduces to a single attribute check or a
@@ -30,6 +30,7 @@ Typical campaign use::
 """
 
 from repro.obs.core import (
+    campaign_state,
     counters,
     disable,
     emit,
@@ -55,10 +56,9 @@ from repro.obs.metrics import (
     METRICS_JSON_FILENAME,
     METRICS_PROM_FILENAME,
     METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    registry,
     reset_registry,
 )
+from repro.obs.state import CampaignMonitor, CampaignState
 from repro.obs.tail import JsonlTailer, TailChunk
 from repro.obs.timeseries import (
     SERIES_SCHEMA_VERSION,
@@ -78,12 +78,12 @@ __all__ = [
     "METRICS_JSON_FILENAME",
     "METRICS_PROM_FILENAME",
     "METRICS_SCHEMA_VERSION",
-    "MetricsRegistry",
     "RunRecorder",
     "SERIES_SCHEMA_VERSION",
     "Series",
     "TIMESERIES_FILENAME",
     "TailChunk",
+    "campaign_state",
     "counters",
     "disable",
     "emit",
@@ -97,7 +97,6 @@ __all__ = [
     "read_events_incremental",
     "read_jsonl_incremental",
     "read_timeseries",
-    "registry",
     "reset",
     "reset_registry",
     "resolve_timeseries_path",
@@ -106,15 +105,3 @@ __all__ = [
     "span_stats",
 ]
 
-
-def __getattr__(name: str):
-    # CampaignState/CampaignMonitor live in repro.obs.state, which pulls
-    # in the views aggregator and, through it, repro.experiments — a
-    # module that itself imports repro.obs.  Resolving them lazily keeps
-    # the package importable from the instrumented layers without a
-    # circular import.
-    if name in ("CampaignMonitor", "CampaignState"):
-        from repro.obs import state
-
-        return getattr(state, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,6 +15,11 @@ the aggregate is keyed by the full ``/``-joined path, so a solver span
 opened inside a runner span shows up as ``runner.run_once/solver.solve``.
 Campaign phases are spans opened with :func:`phase`; the current phase
 name stamps every event the log records.
+
+Every record the attached log writes is also folded into one live
+:class:`~repro.obs.state.CampaignState` (:func:`campaign_state`), the
+state the ``metrics.prom`` / ``metrics.json`` snapshots render — so a
+snapshot always equals the fold of the log written so far.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.events import EventLog
+from repro.obs.state import CampaignState
 from repro.obs.timeseries import (
     TIMESERIES_FILENAME,
     TimeseriesLog,
@@ -44,6 +50,8 @@ __all__ = [
     "span_stats",
     "log_path",
     "series_path",
+    "campaign_state",
+    "reset_campaign_state",
 ]
 
 
@@ -65,7 +73,7 @@ class ObsState:
 
     __slots__ = (
         "enabled", "counters", "spans", "stack", "log", "phase",
-        "series_log", "series_path",
+        "series_log", "series_path", "fold",
     )
 
     def __init__(self) -> None:
@@ -80,6 +88,8 @@ class ObsState:
         # campaign produces no fresh series and therefore no file).
         self.series_log: TimeseriesLog | None = None
         self.series_path: Path | None = None
+        # The fold of every record the attached log has written.
+        self.fold = CampaignState()
 
 
 _STATE = ObsState()
@@ -155,7 +165,9 @@ def enable(log: str | None = None) -> None:
     if log is not None:
         if _STATE.log is not None:
             _STATE.log.close()
+        _STATE.fold = CampaignState()
         _STATE.log = EventLog(log)
+        _STATE.fold.apply(_STATE.log.opened)
         if _STATE.series_log is not None:
             _STATE.series_log.close()
             _STATE.series_log = None
@@ -206,6 +218,7 @@ def reset() -> None:
     _STATE.spans.clear()
     _STATE.stack.clear()
     _STATE.phase = ""
+    _STATE.fold = CampaignState()
 
 
 def incr(name: str, n: float = 1) -> None:
@@ -237,7 +250,9 @@ def emit(event: str, **fields: Any) -> None:
     """Write one structured event to the attached log (if any)."""
     if not _STATE.enabled or _STATE.log is None:
         return
-    _STATE.log.write(event, _STATE.phase, fields)
+    record = _STATE.log.write(event, _STATE.phase, fields)
+    if record is not None:
+        _STATE.fold.apply(record)
 
 
 def emit_series(spec: str, payload: dict[str, Any]) -> None:
@@ -262,3 +277,13 @@ def counters() -> dict[str, float]:
 def span_stats() -> dict[str, dict[str, Any]]:
     """Snapshot of every span aggregate, keyed by full span path."""
     return {path: stat.to_dict() for path, stat in _STATE.spans.items()}
+
+
+def campaign_state() -> CampaignState:
+    """The live fold of the attached log (empty while none is attached)."""
+    return _STATE.fold
+
+
+def reset_campaign_state() -> None:
+    """Restart the live fold: it covers only records written from here on."""
+    _STATE.fold = CampaignState()

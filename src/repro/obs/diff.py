@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.reporting import render_table
 from repro.obs.events import read_events
-from repro.obs.timeseries import TIMESERIES_FILENAME, read_timeseries
-from repro.obs.views import _Aggregator, resolve_events_path
+from repro.obs.state import CampaignState
+from repro.obs.timeseries import TIMESERIES_FILENAME, read_timeseries, series_total
+from repro.obs.views import render_table, resolve_events_path
 
 __all__ = [
     "CampaignDiff",
@@ -134,9 +134,9 @@ def load_snapshot(campaign: str | Path) -> CampaignSnapshot:
     """
     events_path = resolve_events_path(campaign)
     snap = CampaignSnapshot(path=events_path)
-    agg = _Aggregator()
+    state = CampaignState()
     for record in read_events(events_path):
-        agg.add(record)
+        state.apply(record)
         if record.get("event") != "run_finished":
             continue
         spec = str(record.get("spec") or "")
@@ -149,9 +149,7 @@ def load_snapshot(campaign: str | Path) -> CampaignSnapshot:
             phase=str(record.get("phase") or ""),
             wall_s=float(record.get("wall_s") or 0.0),
         )
-    summary = agg.finish()
-    for name, phase in summary.phases.items():
-        wall = phase.wall_s if phase.wall_s is not None else phase.run_wall_s
+    for name, *_counts, wall in state.phase_rows():
         snap.phase_wall_s[name] = wall
 
     ts_path = events_path.with_name(TIMESERIES_FILENAME)
@@ -166,13 +164,10 @@ def load_snapshot(campaign: str | Path) -> CampaignSnapshot:
             for series in record.get("series", []):
                 if not isinstance(series, dict):
                     continue
-                total = sum(float(v) for v in series.get("values") or [])
-                if series.get("tail") is not None:
-                    total += float(series["tail"])
                 if series.get("name") == "leak.total_j":
-                    rec.leak_j = total
+                    rec.leak_j = series_total(series)
                 elif series.get("name") == "cache.induced_misses":
-                    rec.induced_misses = total
+                    rec.induced_misses = series_total(series)
     return snap
 
 

@@ -65,26 +65,48 @@ def rotate_existing(path: Path) -> None:
         path.replace(path.with_name(path.name + ".1"))
 
 
-class EventLog:
-    """Append-only JSONL writer for one campaign's events."""
+class JsonlWriter:
+    """Append-only JSONL file; an existing one is rotated to ``<name>.1``."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         rotate_existing(self.path)
         self._fh = self.path.open("w", encoding="utf-8")
+
+    def append(self, record: dict[str, Any]) -> dict[str, Any] | None:
+        """Write one line, flushed immediately (low rate); returns the
+        record, or None once the file is closed."""
+        if self._fh.closed:
+            return None
+        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.flush()
+        return record
+
+    def close(self) -> None:
+        if not self._fh.closed:
+            self._fh.close()
+
+
+class EventLog(JsonlWriter):
+    """The JSONL writer for one campaign's events."""
+
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
         self._t0 = time.perf_counter()
         self._pid = os.getpid()
-        self.write(
+        #: The first record, written on open (the live fold starts here).
+        self.opened = self.write(
             "log_opened",
             "",
             {"schema_version": EVENT_SCHEMA_VERSION},
         )
 
-    def write(self, event: str, phase: str, fields: dict[str, Any]) -> None:
-        """Append one event line (flushed immediately; low event rate)."""
-        if self._fh.closed:
-            return
+    def write(
+        self, event: str, phase: str, fields: dict[str, Any]
+    ) -> dict[str, Any] | None:
+        """Append one stamped event; returns it as written, or None once
+        the log is closed."""
         record = {
             "t": round(time.perf_counter() - self._t0, 6),
             "ts": time.time(),
@@ -93,12 +115,7 @@ class EventLog:
             "event": event,
         }
         record.update(fields)
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+        return self.append(record)
 
 
 def parse_jsonl_line(raw: bytes) -> dict[str, Any] | None:
@@ -151,12 +168,12 @@ def read_events_incremental(
     return [r for r in records if "event" in r], resume
 
 
-def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield parsed events from a JSONL log, skipping torn/garbage lines.
+def read_jsonl(path: str | Path, key: str) -> Iterator[dict[str, Any]]:
+    """Yield the parsed records carrying ``key``, skipping torn/garbage lines.
 
     Streams line by line (constant memory on multi-GB logs).  A final
     line with no trailing newline — a campaign writer caught mid-write —
-    is never yielded, matching :func:`read_events_incremental`, so a
+    is never yielded, matching :func:`read_jsonl_incremental`, so a
     render-once view and a tailer agree on what "the log so far" means.
     """
     with Path(path).open("rb") as fh:
@@ -164,5 +181,10 @@ def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
             if not line.endswith(b"\n"):
                 break  # torn tail mid-write; a later read will complete it
             record = parse_jsonl_line(line)
-            if record is not None and "event" in record:
+            if record is not None and key in record:
                 yield record
+
+
+def read_events(path: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield a campaign event log's events (see :func:`read_jsonl`)."""
+    return read_jsonl(path, "event")

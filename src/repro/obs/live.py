@@ -8,28 +8,24 @@ so a plain browser tab self-updates with zero scripting; the tag is
 dropped from the final rewrite once ``campaign_finished`` lands, and
 the page stops churning.
 
-Content reuses the report's building blocks (palette CSS, summary
-tiles, per-phase table) plus live-only sections: status/ETA banner,
-runs in flight, anomaly flags, and per-run leakage/IPC sparklines from
-the tailed ``timeseries.jsonl`` (the same
-:class:`~repro.obs.svg.sparkline` trend strips the finished-run report
-expands into full charts).
+The page is the report's own renderer (:func:`repro.obs.report.render_page`)
+over the tailed fold and the first run sections of the tailed
+``timeseries.jsonl``, plus the live-only blocks: status/ETA banner,
+anomaly flags, runs in flight, and the finished line.
 """
 
 from __future__ import annotations
 
-import html
 import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.metrics import _atomic_write
-from repro.obs.report import _CSS, _phase_table, _tiles
+from repro.obs.metrics import atomic_write
+from repro.obs.report import RunSample, esc, render_page
 from repro.obs.state import CampaignMonitor, CampaignState
-from repro.obs.svg import sparkline
 from repro.obs.tail import JsonlTailer
 from repro.obs.timeseries import TIMESERIES_FILENAME
-from repro.obs.views import EVENTS_FILENAME
+from repro.obs.views import fmt_s
 
 __all__ = [
     "LIVE_REPORT_FILENAME",
@@ -39,16 +35,6 @@ __all__ = [
 ]
 
 LIVE_REPORT_FILENAME = "live.html"
-
-#: Cap on retained per-run telemetry rows (oldest dropped first).
-MAX_LIVE_RUNS = 64
-
-#: Which tailed series feed the sparkline columns, in display order.
-_SPARK_SERIES = (
-    ("leak.total_j", "leakage J/window"),
-    ("cache.frac_live", "live fraction"),
-    ("cpu.ipc", "IPC"),
-)
 
 _STATUS_BADGE = {
     "running": ("running", "var(--series-1)"),
@@ -62,62 +48,40 @@ _LIVE_CSS = """\
 .badge { display: inline-block; border-radius: 4px; padding: 2px 10px;
          color: #fff; font-size: 12px; vertical-align: middle; }
 .anom { color: var(--critical); }
-td .spark { margin-right: 4px; }
 """
-
-
-def _esc(value: Any) -> str:
-    return html.escape(str(value), quote=True)
-
-
-def _fmt_s(seconds: float | None) -> str:
-    if seconds is None:
-        return "--"
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    if seconds < 3600:
-        return f"{int(seconds // 60)}m{int(seconds % 60):02d}s"
-    return f"{int(seconds // 3600)}h{int(seconds % 3600 // 60):02d}m"
 
 
 def _banner(state: CampaignState, now: float) -> str:
     status = state.status(now)
     label, color = _STATUS_BADGE.get(status, (status, "var(--muted)"))
-    bits = [f'<span class="badge" style="background:{color}">{_esc(label)}</span>']
-    if state.phase:
-        bits.append(f"phase <b>{_esc(state.phase)}</b>")
+    bits = [f'<span class="badge" style="background:{color}">{esc(label)}</span>']
+    if state.current_phase:
+        bits.append(f"phase <b>{esc(state.current_phase)}</b>")
     rate = state.throughput()
     if rate:
         bits.append(f"{rate:.2f} runs/s")
     eta = state.eta_s()
     if eta is not None:
-        bits.append(f"ETA {_esc(_fmt_s(eta))}")
+        bits.append(f"ETA {esc(fmt_s(eta))}")
     age = state.age_s(now)
     if age is not None:
-        bits.append(f"last event {_esc(_fmt_s(age))} ago")
+        bits.append(f"last event {esc(fmt_s(age))} ago")
     return f'<p class="sub">{" · ".join(bits)}</p>'
 
 
 def _in_flight_table(state: CampaignState, now: float) -> str:
-    if not state.in_flight:
+    rows = "".join(
+        f'<tr><td class="spec">{esc(run["spec"][:12])}</td>'
+        f'<td class="num">{run["slot"]}</td><td>{esc(run["phase"])}</td>'
+        f'<td class="num">{esc(fmt_s(run["running_s"]))}</td></tr>'
+        for run in state.running(now)
+    )
+    if not rows:
         return ""
-    rows = []
-    for (spec, slot), record in state.in_flight.items():
-        ts = record.get("ts")
-        running = (
-            _fmt_s(now - float(ts)) if isinstance(ts, (int, float)) else "--"
-        )
-        rows.append(
-            f'<tr><td class="spec">{_esc(spec[:12])}</td>'
-            f'<td class="num">{slot}</td>'
-            f"<td>{_esc(record.get('phase') or '')}</td>"
-            f'<td class="num">{_esc(running)}</td></tr>'
-        )
     return (
         "<h2>In flight</h2><table><tr><th>spec</th><th class='num'>slot"
         "</th><th>phase</th><th class='num'>running</th></tr>"
-        + "".join(rows)
-        + "</table>"
+        f"{rows}</table>"
     )
 
 
@@ -126,101 +90,49 @@ def _anomaly_block(state: CampaignState, now: float) -> str:
     if not anomalies:
         return ""
     items = "".join(
-        f'<li class="anom"><b>{_esc(a.kind)}</b>: {_esc(a.detail)}</li>'
+        f'<li class="anom"><b>{esc(a.kind)}</b>: {esc(a.detail)}</li>'
         for a in anomalies
     )
     return f"<h2>Anomalies</h2><ul>{items}</ul>"
-
-
-def _series_values(record: dict[str, Any], name: str) -> list[float]:
-    for series in record.get("series") or []:
-        if isinstance(series, dict) and series.get("name") == name:
-            values = [float(v) for v in series.get("values") or []]
-            if series.get("tail") is not None:
-                values.append(float(series["tail"]))
-            return values
-    return []
-
-
-def _spark_table(runs: list[dict[str, Any]]) -> str:
-    if not runs:
-        return (
-            '<p class="note">No per-run telemetry yet '
-            f"({TIMESERIES_FILENAME} absent or empty).</p>"
-        )
-    head = "<tr><th>spec</th><th>phase</th>" + "".join(
-        f"<th>{_esc(label)}</th>" for _name, label in _SPARK_SERIES
-    ) + "</tr>"
-    rows = []
-    for record in runs[-MAX_LIVE_RUNS:]:
-        cells = [
-            f'<td class="spec">{_esc(str(record.get("spec") or "")[:12])}</td>',
-            f"<td>{_esc(record.get('phase') or '')}</td>",
-        ]
-        for name, label in _SPARK_SERIES:
-            values = _series_values(record, name)
-            spark = sparkline(values, title=label) if values else ""
-            tail = f"{values[-1]:.3g}" if values else "--"
-            cells.append(f"<td>{spark} {_esc(tail)}</td>")
-        rows.append(f"<tr>{''.join(cells)}</tr>")
-    note = ""
-    if len(runs) > MAX_LIVE_RUNS:
-        note = (
-            f'<p class="note">showing the most recent {MAX_LIVE_RUNS} of '
-            f"{len(runs)} run(s).</p>"
-        )
-    return f"<table>{head}{''.join(rows)}</table>{note}"
 
 
 def build_live_page(
     state: CampaignState,
     *,
     campaign: str = "",
-    runs: list[dict[str, Any]] | None = None,
+    runs: RunSample | None = None,
     refresh_s: float | None = 2.0,
     now: float | None = None,
 ) -> str:
     """Render one self-contained live status page.
 
-    ``refresh_s`` adds the meta-refresh tag; pass ``None`` (done when
-    the campaign finished) to emit a static final page.
+    ``runs`` samples the campaign's timeseries records.  ``refresh_s``
+    adds the meta-refresh tag; pass ``None`` (done when the campaign
+    finished) to emit a static final page.
     """
     now = now or time.time()
-    finished = state.finished is not None
     refresh = ""
-    if refresh_s is not None and not finished:
+    if refresh_s is not None and state.finished is None:
         refresh = (
             f"<meta http-equiv='refresh' content='{max(refresh_s, 0.5):g}'>"
         )
-    parts = [
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>",
-        "<meta name='viewport' content='width=device-width,initial-scale=1'>",
-        refresh,
-        "<title>repro live status</title>",
-        f"<style>{_CSS}{_LIVE_CSS}</style></head><body>",
-        "<h1>Campaign status</h1>",
-        _banner(state, now),
-    ]
-    if campaign:
-        parts.append(f'<p class="sub">{_esc(campaign)}</p>')
-    parts.append(_tiles(state.summary))
-    parts.append(_anomaly_block(state, now))
-    parts.append(_in_flight_table(state, now))
-    parts.append("<h2>Per-phase breakdown</h2>")
-    parts.append(_phase_table(state.summary))
-    parts.append("<h2>Run telemetry</h2>")
-    parts.append(_spark_table(runs or []))
-    if finished:
-        fin = state.finished or {}
-        parts.append(
-            f'<p class="sub">campaign finished: status '
-            f"{_esc(fin.get('status', '?'))}, "
-            f"{_esc(fin.get('runs_executed', 0))} executed, "
-            f"{_esc(fin.get('cache_hits', 0))} cached, "
-            f"{float(fin.get('wall_s') or 0.0):.1f}s wall</p>"
-        )
-    parts.append("</body></html>")
-    return "".join(parts)
+    return render_page(
+        state,
+        runs if runs is not None else RunSample(),
+        source=campaign,
+        title="repro live status",
+        heading="Campaign status",
+        head=refresh,
+        css=_LIVE_CSS,
+        banner=_banner(state, now),
+        alerts=_anomaly_block(state, now) + _in_flight_table(state, now),
+        footer=(
+            f'<p class="sub">campaign finished: '
+            f"{esc(state.finished_line())}</p>"
+            if state.finished is not None
+            else ""
+        ),
+    )
 
 
 class LiveReporter:
@@ -234,16 +146,15 @@ class LiveReporter:
         self._ts_tailer = JsonlTailer(
             events_path.with_name(TIMESERIES_FILENAME)
         )
-        self._runs: list[dict[str, Any]] = []
+        self._runs = RunSample()
 
     def refresh(self, *, refresh_s: float | None = 2.0) -> Path:
         """Poll both logs and atomically rewrite the page; returns it."""
         state = self.monitor.refresh()
         chunk = self._ts_tailer.poll()
         if chunk.rotated or chunk.truncated:
-            self._runs.clear()
-        self._runs.extend(chunk.records)
-        del self._runs[:-MAX_LIVE_RUNS]
+            self._runs = RunSample()
+        self._runs.add(chunk.records)
         page = build_live_page(
             state,
             campaign=str(self.campaign),
@@ -251,7 +162,7 @@ class LiveReporter:
             refresh_s=None if state.finished is not None else refresh_s,
         )
         self.out_path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(self.out_path, page)
+        atomic_write(self.out_path, page)
         return self.out_path
 
 

@@ -1,26 +1,30 @@
-"""Self-contained HTML campaign reports (``repro-paper report``).
+"""Self-contained HTML campaign pages (``repro-paper report``).
 
-:func:`build_report` folds a campaign's ``events.jsonl`` through the
-same single-pass aggregator the CLI views use, joins in the per-run
-physics telemetry from ``timeseries.jsonl`` when present, and renders
-ONE html string with everything inline — CSS, SVG charts, data — so the
-file can be mailed around or uploaded as a CI artifact with no external
-assets.  Light and dark palettes are both embedded; dark mode follows
-the OS preference and can be forced with ``data-theme`` on ``<html>``.
+:func:`render_page` is the one page renderer: summary tiles and the
+per-phase table from a :class:`~repro.obs.state.CampaignState`, then a
+chart section for each of the first :data:`MAX_RUN_SECTIONS` runs of
+``timeseries.jsonl``.  :func:`build_report` feeds it the fold of a
+campaign's ``events.jsonl``; ``live.html`` (:mod:`repro.obs.live`) is
+the same page plus a refresh tag and its live-only blocks.  Everything
+is inline — CSS, SVG charts, data — so the file can be mailed around or
+uploaded as a CI artifact with no external assets.  Light and dark
+palettes are both embedded; dark mode follows the OS preference and can
+be forced with ``data-theme`` on ``<html>``.
 """
 
 from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.obs.events import read_events
+from repro.obs.state import CampaignState
 from repro.obs.svg import CHART_CSS, legend, line_chart
-from repro.obs.timeseries import TIMESERIES_FILENAME, read_timeseries
-from repro.obs.views import CampaignSummary, _Aggregator, resolve_events_path
+from repro.obs.timeseries import TIMESERIES_FILENAME, read_timeseries, series_total
+from repro.obs.views import aggregate, resolve_events_path
 
-__all__ = ["build_report", "MAX_RUN_SECTIONS"]
+__all__ = ["build_report", "render_page", "MAX_RUN_SECTIONS", "RunSample"]
 
 #: Cap on per-run chart sections; larger campaigns get summary-only rows.
 MAX_RUN_SECTIONS = 12
@@ -84,7 +88,7 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
 )
 
 
-def _esc(value: Any) -> str:
+def esc(value: Any) -> str:
     return html.escape(str(value), quote=True)
 
 
@@ -116,7 +120,7 @@ def _chart_block(
     if not svg:
         return ""
     labels = [label for label, _pts in present]
-    return f"<h3>{_esc(title)}</h3>{legend(labels)}{svg}"
+    return f"<h3>{esc(title)}</h3>{legend(labels)}{svg}"
 
 
 def _run_section(record: dict[str, Any], index: int) -> str:
@@ -130,14 +134,11 @@ def _run_section(record: dict[str, Any], index: int) -> str:
     total = by_name.get("leak.total_j")
     total_j = ""
     if total:
-        joules = sum(float(v) for v in total.get("values") or [])
-        if total.get("tail") is not None:
-            joules += float(total["tail"])
-        total_j = f' · leakage {joules:.3e} J'
+        total_j = f' · leakage {series_total(total):.3e} J'
     parts = [
         f'<section class="run"><h2>run {index + 1} '
-        f'<span class="spec">{_esc(spec)}</span></h2>'
-        f'<p class="sub">phase {_esc(phase)}{total_j}</p>'
+        f'<span class="spec">{esc(spec)}</span></h2>'
+        f'<p class="sub">phase {esc(phase)}{total_j}</p>'
     ]
     parts.append(
         _chart_block(
@@ -187,13 +188,10 @@ def _run_section(record: dict[str, Any], index: int) -> str:
     return "".join(parts)
 
 
-def _tiles(summary: CampaignSummary) -> str:
-    hits = summary.cache_hits
-    runs = summary.runs_finished
+def _tiles(state: CampaignState) -> str:
+    hits = state.total("cache_hits")
+    runs = state.total("runs_finished")
     lookups = runs + hits
-    failures = sum(p.failures for p in summary.phases.values())
-    retries = sum(p.retries for p in summary.phases.values())
-    wall = sum(p.run_wall_s for p in summary.phases.values())
     tiles = [
         ("runs executed", str(runs)),
         (
@@ -201,41 +199,114 @@ def _tiles(summary: CampaignSummary) -> str:
             f"{hits}"
             + (f" ({100.0 * hits / lookups:.0f}%)" if lookups else ""),
         ),
-        ("run wall", f"{wall:.1f} s"),
-        ("failures", str(failures)),
-        ("retries", str(retries)),
+        ("run wall", f"{state.total('run_wall_s'):.1f} s"),
+        ("failures", str(state.total("failures"))),
+        ("retries", str(state.total("retries"))),
     ]
-    if summary.max_rss_kb:
+    if state.max_rss_kb:
         tiles.append(
-            ("peak worker RSS", f"{summary.max_rss_kb / 1024.0:.0f} MB")
+            ("peak worker RSS", f"{state.max_rss_kb / 1024.0:.0f} MB")
         )
     cells = "".join(
-        f'<div class="tile"><div class="v">{_esc(v)}</div>'
-        f'<div class="k">{_esc(k)}</div></div>'
+        f'<div class="tile"><div class="v">{esc(v)}</div>'
+        f'<div class="k">{esc(k)}</div></div>'
         for k, v in tiles
     )
     return f'<div class="tiles">{cells}</div>'
 
 
-def _phase_table(summary: CampaignSummary) -> str:
+def _phase_table(state: CampaignState) -> str:
     head = (
         "<tr><th>phase</th><th class='num'>runs</th><th class='num'>hits"
         "</th><th class='num'>retries</th><th class='num'>fails</th>"
         "<th class='num'>run wall s</th><th class='num'>wall s</th></tr>"
     )
-    body = []
-    for name, p in summary.phases.items():
-        wall = p.wall_s if p.wall_s is not None else p.run_wall_s
-        body.append(
-            f"<tr><td>{_esc(name)}</td>"
-            f"<td class='num'>{p.runs_finished}</td>"
-            f"<td class='num'>{p.cache_hits}</td>"
-            f"<td class='num'>{p.retries}</td>"
-            f"<td class='num'>{p.failures}</td>"
-            f"<td class='num'>{p.run_wall_s:.2f}</td>"
-            f"<td class='num'>{wall:.2f}</td></tr>"
+    body = "".join(
+        f"<tr><td>{esc(name)}</td>"
+        + "".join(
+            f"<td class='num'>{v}</td>"
+            for v in (*counts, f"{run_wall:.2f}", f"{wall:.2f}")
         )
-    return f"<table>{head}{''.join(body)}</table>"
+        + "</tr>"
+        for name, *counts, run_wall, wall in state.phase_rows()
+    )
+    return f"<table>{head}{body}</table>"
+
+
+class RunSample:
+    """The first :data:`MAX_RUN_SECTIONS` run records and how many there
+    were, so page memory stays bounded however long the log grows."""
+
+    def __init__(self) -> None:
+        self.runs: list[dict[str, Any]] = []
+        self.total = 0
+
+    def add(self, records: Iterable[dict[str, Any]]) -> None:
+        for record in records:
+            if len(self.runs) < MAX_RUN_SECTIONS:
+                self.runs.append(record)
+            self.total += 1
+
+
+def _run_sections(sample: RunSample) -> str:
+    if not sample.runs:
+        return (
+            '<p class="note">No timeseries telemetry found '
+            f"({TIMESERIES_FILENAME} absent or empty) — re-run the campaign "
+            "with observability enabled to record line-state, leakage-energy "
+            "and IPC windows.</p>"
+        )
+    parts = [_run_section(record, i) for i, record in enumerate(sample.runs)]
+    if sample.total > len(sample.runs):
+        parts.append(
+            f'<p class="note">{sample.total - len(sample.runs)} further '
+            "run(s) recorded but not charted (report caps at "
+            f"{MAX_RUN_SECTIONS} run sections).</p>"
+        )
+    return "".join(parts)
+
+
+def render_page(
+    state: CampaignState,
+    sample: RunSample,
+    *,
+    source: str,
+    title: str = "repro campaign report",
+    heading: str = "Campaign report",
+    head: str = "",
+    css: str = "",
+    banner: str = "",
+    alerts: str = "",
+    footer: str = "",
+) -> str:
+    """One self-contained campaign page.
+
+    ``source`` names the campaign under the heading; the live page adds
+    its refresh tag (``head``), extra ``css``, a status ``banner`` above
+    the source line, ``alerts`` between the tiles and the phase table,
+    and a ``footer`` after the run sections.
+    """
+    return "".join(
+        [
+            "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>",
+            "<meta name='viewport' "
+            "content='width=device-width,initial-scale=1'>",
+            head,
+            f"<title>{esc(title)}</title><style>{_CSS}{css}</style></head>",
+            "<body>",
+            f"<h1>{esc(heading)}</h1>",
+            banner,
+            f'<p class="sub">{esc(source)}</p>',
+            _tiles(state),
+            alerts,
+            "<h2>Per-phase breakdown</h2>",
+            _phase_table(state),
+            "<h2>Per-run telemetry</h2>",
+            _run_sections(sample),
+            footer,
+            "</body></html>",
+        ]
+    )
 
 
 def build_report(campaign: str | Path) -> str:
@@ -245,44 +316,9 @@ def build_report(campaign: str | Path) -> str:
         FileNotFoundError: If the campaign has no ``events.jsonl``.
     """
     events_path = resolve_events_path(campaign)
-    agg = _Aggregator()
-    for record in read_events(events_path):
-        agg.add(record)
-    summary = agg.finish()
-
+    state = aggregate(read_events(events_path))
+    sample = RunSample()
     ts_path = events_path.with_name(TIMESERIES_FILENAME)
-    runs: list[dict[str, Any]] = []
     if ts_path.is_file():
-        runs = list(read_timeseries(ts_path))
-
-    parts = [
-        "<!DOCTYPE html><html lang='en'><head><meta charset='utf-8'>",
-        "<meta name='viewport' content='width=device-width,initial-scale=1'>",
-        f"<title>repro campaign report</title><style>{_CSS}</style></head>",
-        "<body>",
-        "<h1>Campaign report</h1>",
-        f'<p class="sub">{_esc(events_path)}</p>',
-        _tiles(summary),
-        "<h2>Per-phase breakdown</h2>",
-        _phase_table(summary),
-        "<h2>Per-run telemetry</h2>",
-    ]
-    if not runs:
-        parts.append(
-            '<p class="note">No timeseries telemetry found '
-            f"({TIMESERIES_FILENAME} absent or empty) — re-run the campaign "
-            "with observability enabled to record line-state, leakage-energy "
-            "and IPC windows.</p>"
-        )
-    else:
-        shown = runs[:MAX_RUN_SECTIONS]
-        for i, record in enumerate(shown):
-            parts.append(_run_section(record, i))
-        if len(runs) > len(shown):
-            parts.append(
-                f'<p class="note">{len(runs) - len(shown)} further run(s) '
-                "recorded but not charted (report caps at "
-                f"{MAX_RUN_SECTIONS} run sections).</p>"
-            )
-    parts.append("</body></html>")
-    return "".join(parts)
+        sample.add(read_timeseries(ts_path))
+    return render_page(state, sample, source=str(events_path))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["line_chart", "legend", "sparkline", "CHART_CSS"]
+__all__ = ["line_chart", "legend", "CHART_CSS"]
 
 # Plot-area margins (px): room for y tick labels and the x tick row.
 _ML, _MR, _MT, _MB = 64, 12, 10, 26
@@ -69,41 +69,6 @@ def legend(labels: Sequence[str]) -> str:
         for i, label in enumerate(labels[:3])
     )
     return f'<div class="legend">{items}</div>'
-
-
-def sparkline(
-    values: Sequence[float],
-    *,
-    width: int = 120,
-    height: int = 24,
-    title: str = "",
-) -> str:
-    """A tiny axis-free inline trend line (live status page table cells).
-
-    Unlike :func:`line_chart` there are no margins, grids, or ticks —
-    just the polyline over a baseline, normalised to the value range.
-    Returns ``""`` for fewer than two points (no trend to show).
-    """
-    pts = [float(v) for v in values]
-    if len(pts) < 2:
-        return ""
-    lo, hi = min(pts), max(pts)
-    span = (hi - lo) or 1.0
-    pad = 2.0
-    step = (width - 2 * pad) / (len(pts) - 1)
-    coords = " ".join(
-        f"{pad + i * step:.1f},"
-        f"{pad + (height - 2 * pad) * (1.0 - (v - lo) / span):.1f}"
-        for i, v in enumerate(pts)
-    )
-    tooltip = f"<title>{title}</title>" if title else ""
-    return (
-        f'<svg class="spark" viewBox="0 0 {width} {height}" '
-        f'width="{width}" height="{height}" role="img">{tooltip}'
-        f'<line class="base" x1="0" y1="{height - 1}" '
-        f'x2="{width}" y2="{height - 1}"/>'
-        f'<polyline class="series" points="{coords}"/></svg>'
-    )
 
 
 def line_chart(

@@ -30,11 +30,10 @@ hash.  ``repro report`` and ``repro diff`` are built on
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.obs.events import rotate_existing
+from repro.obs.events import JsonlWriter, read_jsonl, rotate_existing
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -47,6 +46,7 @@ __all__ = [
     "read_timeseries",
     "resolve_timeseries_path",
     "rotate_existing",
+    "series_total",
     "take_published",
 ]
 
@@ -265,48 +265,38 @@ def take_published() -> RunRecorder | None:
 # ----------------------------------------------------------------------
 
 
-class TimeseriesLog:
+class TimeseriesLog(JsonlWriter):
     """Append-only JSONL writer: one line per run's serialised series."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        rotate_existing(self.path)
-        self._fh = self.path.open("w", encoding="utf-8")
 
     def write(
         self, spec: str, phase: str, payload: dict[str, Any]
     ) -> None:
-        """Append one run's series (flushed immediately; low rate)."""
-        if self._fh.closed:
-            return
-        record = {
-            "schema": payload.get("schema", SERIES_SCHEMA_VERSION),
-            "spec": spec,
-            "phase": phase,
-            "series": payload.get("series", []),
-        }
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        """Append one run's series."""
+        self.append(
+            {
+                "schema": payload.get("schema", SERIES_SCHEMA_VERSION),
+                "spec": spec,
+                "phase": phase,
+                "series": payload.get("series", []),
+            }
+        )
 
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
+
+def series_total(series: dict[str, Any]) -> float:
+    """A serialised series' values summed, partial tail included."""
+    total = sum(float(v) for v in series.get("values") or [])
+    if series.get("tail") is not None:
+        total += float(series["tail"])
+    return total
 
 
 def read_timeseries(path: str | Path) -> Iterator[dict[str, Any]]:
-    """Yield per-run series records, skipping torn/garbage lines."""
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict) and "series" in record:
-                yield record
+    """Yield per-run series records, skipping torn/garbage lines.
+
+    Newline-strict like :func:`~repro.obs.events.read_events`: a run
+    whose line is still being written is not yielded yet.
+    """
+    return read_jsonl(path, "series")
 
 
 def resolve_timeseries_path(campaign: str | Path) -> Path:

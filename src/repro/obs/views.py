@@ -1,49 +1,63 @@
-"""Aggregation and rendering of campaign event logs.
+"""Text views of campaign event logs: ``repro trace`` and ``repro stats``.
 
-The ``repro trace`` and ``repro stats`` CLI views are thin wrappers over
-this module: :func:`iter_campaign_events` resolves a campaign directory
-(or a direct path) to its ``events.jsonl`` and streams it, the
-:class:`_Aggregator` folds the event stream into per-phase and
-campaign-wide summaries in a single bounded-memory pass (a multi-GB log
-aggregates in constant memory), and the ``render_*`` functions print
-them as the usual fixed-width tables.
+The CLI views are thin wrappers over this module:
+:func:`iter_campaign_events` resolves a campaign directory (or a direct
+path) to its ``events.jsonl`` and streams it, :func:`aggregate` folds
+the stream into a :class:`~repro.obs.state.CampaignState` in a single
+bounded-memory pass (a multi-GB log aggregates in constant memory), and
+the ``render_*`` functions print the fold as fixed-width tables.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.experiments.reporting import render_table
 from repro.obs.events import read_events
+from repro.obs.state import RUN_EVENTS, CampaignState, events_path
 
-EVENTS_FILENAME = "events.jsonl"
 
-# Per-run event kinds shown in the chronological trace listing.
-_RUN_EVENTS = (
-    "run_started",
-    "run_finished",
-    "run_failed",
-    "run_retried",
-    "run_requeued",
-    "run_timeout",
-    "cache_hit",
-    "heartbeat",
-)
+def render_table(headers: list[str], rows: list[list[str]]) -> str:
+    """Simple fixed-width ASCII table."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    rule = "+" + "+".join("-" * (w + 2) for w in widths) + "+"
+    lines.append(rule)
+    lines.append(
+        "|" + "|".join(f" {h:<{w}} " for h, w in zip(headers, widths)) + "|"
+    )
+    lines.append(rule)
+    for row in rows:
+        lines.append(
+            "|" + "|".join(f" {c:<{w}} " for c, w in zip(row, widths)) + "|"
+        )
+    lines.append(rule)
+    return "\n".join(lines)
+
+
+def fmt_s(seconds: float | None) -> str:
+    """Compact duration: ``42s``, ``3m07s``, ``1h05m`` (``--`` if unknown)."""
+    if seconds is None:
+        return "--"
+    if seconds < 60:
+        return f"{seconds:.0f}s"
+    if seconds < 3600:
+        return f"{int(seconds // 60)}m{int(seconds % 60):02d}s"
+    return f"{int(seconds // 3600)}h{int(seconds % 3600 // 60):02d}m"
 
 
 def resolve_events_path(campaign: str | Path) -> Path:
-    """``<campaign>/events.jsonl`` for a directory, the path itself else.
+    """The existing event log a campaign path names (see
+    :func:`~repro.obs.state.events_path`).
 
     Raises:
         FileNotFoundError: If no event log exists there.
     """
-    path = Path(campaign)
-    if path.is_dir():
-        path = path / EVENTS_FILENAME
+    path = events_path(campaign)
     if not path.is_file():
         raise FileNotFoundError(
             f"no event log at {path} (run a campaign with observability "
@@ -70,190 +84,12 @@ def load_campaign_events(campaign: str | Path) -> list[dict[str, Any]]:
     return list(iter_campaign_events(campaign))
 
 
-@dataclass
-class PhaseSummary:
-    """Per-phase roll-up of the run events that fired inside it."""
-
-    name: str
-    runs_started: int = 0
-    runs_finished: int = 0
-    failures: int = 0
-    retries: int = 0
-    requeues: int = 0
-    timeouts: int = 0
-    cache_hits: int = 0
-    run_wall_s: float = 0.0
-    run_cpu_s: float = 0.0
-    wall_s: float | None = None  # from phase_finished, if present
-
-
-@dataclass
-class CampaignSummary:
-    """Campaign-wide roll-up of one event log."""
-
-    phases: dict[str, PhaseSummary] = field(default_factory=dict)
-    events_total: int = 0
-    heartbeats: int = 0
-    max_rss_kb: float = 0.0
-    counters: dict[str, float] = field(default_factory=dict)
-    spans: dict[str, dict[str, Any]] = field(default_factory=dict)
-    slowest_runs: list[dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def runs_finished(self) -> int:
-        return sum(p.runs_finished for p in self.phases.values())
-
-    @property
-    def cache_hits(self) -> int:
-        return sum(p.cache_hits for p in self.phases.values())
-
-
-def phase_to_dict(phase: PhaseSummary) -> dict[str, Any]:
-    """Machine-readable :class:`PhaseSummary` (shared by stats/watch/live)."""
-    return {
-        "name": phase.name,
-        "runs_started": phase.runs_started,
-        "runs_finished": phase.runs_finished,
-        "failures": phase.failures,
-        "retries": phase.retries,
-        "requeues": phase.requeues,
-        "timeouts": phase.timeouts,
-        "cache_hits": phase.cache_hits,
-        "run_wall_s": phase.run_wall_s,
-        "run_cpu_s": phase.run_cpu_s,
-        "wall_s": phase.wall_s,
-    }
-
-
-def summary_to_dict(summary: CampaignSummary) -> dict[str, Any]:
-    """Machine-readable :class:`CampaignSummary`.
-
-    This is the one aggregation encoding shared by ``repro stats --format
-    json``, ``repro watch --json`` and the live HTML status page, so
-    dashboards and CI scripts never scrape the text tables.
-    """
-    return {
-        "events_total": summary.events_total,
-        "runs_finished": summary.runs_finished,
-        "cache_hits": summary.cache_hits,
-        "failures": sum(p.failures for p in summary.phases.values()),
-        "retries": sum(p.retries for p in summary.phases.values()),
-        "requeues": sum(p.requeues for p in summary.phases.values()),
-        "timeouts": sum(p.timeouts for p in summary.phases.values()),
-        "heartbeats": summary.heartbeats,
-        "max_rss_kb": summary.max_rss_kb,
-        "run_wall_s": sum(p.run_wall_s for p in summary.phases.values()),
-        "phases": [phase_to_dict(p) for p in summary.phases.values()],
-        "counters": dict(summary.counters),
-        "spans": dict(summary.spans),
-        "slowest_runs": [
-            {
-                "spec": r.get("spec"),
-                "phase": r.get("phase"),
-                "wall_s": r.get("wall_s"),
-                "cpu_s": r.get("cpu_s"),
-            }
-            for r in summary.slowest_runs
-        ],
-    }
-
-
-_SLOWEST_N = 5
-
-
-class _Aggregator:
-    """Single-pass, bounded-memory fold of an event stream.
-
-    Feed records through :meth:`add` and call :meth:`finish` once — the
-    only retained per-run state is a :data:`_SLOWEST_N`-entry heap of the
-    slowest finished runs, so aggregating an arbitrarily long log uses
-    constant memory.
-    """
-
-    def __init__(self) -> None:
-        self.summary = CampaignSummary()
-        # Min-heap of (wall_s, -order, record): the smallest survivor is
-        # evicted first, and among equal walls the later arrival goes, so
-        # the final top-5 matches a stable descending sort of the log.
-        self._slowest: list[tuple[float, int, dict[str, Any]]] = []
-        self._order = 0
-
-    def add(self, record: dict[str, Any]) -> None:
-        summary = self.summary
-        summary.events_total += 1
-        kind = record.get("event")
-        phase_name = record.get("phase") or "(no phase)"
-        if kind == "phase_finished":
-            phase = _phase(summary, record.get("name") or phase_name)
-            phase.wall_s = float(record.get("wall_s") or 0.0)
-            return
-        if kind == "counters":
-            counters = record.get("counters")
-            if isinstance(counters, dict):
-                summary.counters = counters
-            spans = record.get("spans")
-            if isinstance(spans, dict):
-                summary.spans = spans
-            return
-        if kind not in _RUN_EVENTS:
-            return
-        phase = _phase(summary, phase_name)
-        if kind == "run_started":
-            phase.runs_started += 1
-        elif kind == "run_finished":
-            phase.runs_finished += 1
-            wall = float(record.get("wall_s") or 0.0)
-            phase.run_wall_s += wall
-            phase.run_cpu_s += float(record.get("cpu_s") or 0.0)
-            summary.max_rss_kb = max(
-                summary.max_rss_kb, float(record.get("max_rss_kb") or 0.0)
-            )
-            self._order += 1
-            entry = (wall, -self._order, record)
-            if len(self._slowest) < _SLOWEST_N:
-                heapq.heappush(self._slowest, entry)
-            else:
-                heapq.heappushpop(self._slowest, entry)
-        elif kind == "run_failed":
-            phase.failures += 1
-        elif kind == "run_retried":
-            phase.retries += 1
-        elif kind == "run_requeued":
-            # Abandoned jobs are already accounted under ``timeouts``
-            # (the pool emitted run_timeout when it gave up on them);
-            # the requeue is tracked separately, never as a retry, so
-            # the stats buckets match ExecutionMetrics.
-            phase.requeues += 1
-        elif kind == "run_timeout":
-            phase.timeouts += 1
-        elif kind == "cache_hit":
-            phase.cache_hits += 1
-        elif kind == "heartbeat":
-            summary.heartbeats += 1
-
-    def finish(self) -> CampaignSummary:
-        self.summary.slowest_runs = [
-            record
-            for _wall, _neg_order, record in sorted(
-                self._slowest, key=lambda e: (-e[0], -e[1])
-            )
-        ]
-        return self.summary
-
-
-def aggregate(events: Iterable[dict[str, Any]]) -> CampaignSummary:
-    """Fold an event stream into the campaign summary (single pass)."""
-    agg = _Aggregator()
+def aggregate(events: Iterable[dict[str, Any]]) -> CampaignState:
+    """Fold an event stream into a :class:`CampaignState` (single pass)."""
+    state = CampaignState()
     for record in events:
-        agg.add(record)
-    return agg.finish()
-
-
-def _phase(summary: CampaignSummary, name: str) -> PhaseSummary:
-    phase = summary.phases.get(name)
-    if phase is None:
-        phase = summary.phases[name] = PhaseSummary(name=name)
-    return phase
+        state.apply(record)
+    return state
 
 
 def _spec8(record: dict[str, Any]) -> str:
@@ -313,16 +149,16 @@ def render_trace(
     matching events are retained, so memory stays bounded no matter how
     long the log is.  ``limit`` of ``None`` or ``0`` keeps everything.
     """
-    traced = _RUN_EVENTS + (
+    traced = RUN_EVENTS + (
         "phase_started", "phase_finished", "batch_finished",
         "campaign_finished",
     )
-    agg = _Aggregator()
+    state = CampaignState()
     shown: deque[dict[str, Any]] | list[dict[str, Any]]
     shown = deque(maxlen=limit) if limit else []
     matched = 0
     for r in events:
-        agg.add(r)
+        state.apply(r)
         if r.get("event") in traced and (
             phase is None or r.get("phase") == phase or r.get("name") == phase
         ):
@@ -348,55 +184,45 @@ def render_trace(
     if clipped:
         out.append(f"({clipped} earlier event(s) clipped; use --limit 0)")
     out.append("")
-    out.append(render_phase_breakdown(agg.finish()))
+    out.append(render_phase_breakdown(state))
     return "\n".join(out)
 
 
-def render_phase_breakdown(summary: CampaignSummary) -> str:
+def render_phase_breakdown(state: CampaignState) -> str:
     """The per-phase time/run breakdown table."""
-    rows = []
-    for name, p in summary.phases.items():
-        wall = p.wall_s if p.wall_s is not None else p.run_wall_s
-        rows.append(
-            [
-                name,
-                str(p.runs_finished),
-                str(p.cache_hits),
-                str(p.retries),
-                str(p.failures),
-                f"{p.run_wall_s:9.2f}",
-                f"{wall:9.2f}",
-            ]
-        )
+    rows = [
+        [name, *map(str, counts), f"{run_wall:9.2f}", f"{wall:9.2f}"]
+        for name, *counts, run_wall, wall in state.phase_rows()
+    ]
     return "per-phase breakdown:\n" + render_table(
         ["phase", "runs", "hits", "retries", "fails", "run wall s", "wall s"],
         rows,
     )
 
 
-def render_stats(summary: CampaignSummary) -> str:
+def render_stats(state: CampaignState) -> str:
     """Campaign-wide statistics: totals, counters, spans, slowest runs."""
     out = []
-    total_runs = summary.runs_finished
-    hits = summary.cache_hits
+    total_runs = state.total("runs_finished")
+    hits = state.total("cache_hits")
     lookups = total_runs + hits
     hit_rate = hits / lookups if lookups else 0.0
     rows = [
-        ["events", str(summary.events_total)],
+        ["events", str(state.events_total)],
         ["runs executed", str(total_runs)],
         ["cache hits", f"{hits} ({100.0 * hit_rate:.0f} %)"],
-        ["retries", str(sum(p.retries for p in summary.phases.values()))],
-        ["failures", str(sum(p.failures for p in summary.phases.values()))],
-        ["timeouts", str(sum(p.timeouts for p in summary.phases.values()))],
-        ["requeued", str(sum(p.requeues for p in summary.phases.values()))],
-        ["heartbeats", str(summary.heartbeats)],
+        ["retries", str(state.total("retries"))],
+        ["failures", str(state.total("failures"))],
+        ["timeouts", str(state.total("timeouts"))],
+        ["requeued", str(state.total("requeues"))],
+        ["heartbeats", str(state.heartbeats)],
     ]
-    if summary.max_rss_kb:
-        rows.append(["peak worker RSS", f"{summary.max_rss_kb / 1024.0:.0f} MB"])
+    if state.max_rss_kb:
+        rows.append(["peak worker RSS", f"{state.max_rss_kb / 1024.0:.0f} MB"])
     out.append(render_table(["metric", "value"], rows))
     out.append("")
-    out.append(render_phase_breakdown(summary))
-    if summary.slowest_runs:
+    out.append(render_phase_breakdown(state))
+    if state.slowest_runs:
         out.append("")
         out.append("slowest runs:")
         out.append(
@@ -409,11 +235,11 @@ def render_stats(summary: CampaignSummary) -> str:
                         f"{r.get('wall_s', 0.0):.3f}",
                         f"{r.get('cpu_s', 0.0):.3f}",
                     ]
-                    for r in summary.slowest_runs
+                    for r in state.slowest_runs
                 ],
             )
         )
-    if summary.spans:
+    if state.spans:
         out.append("")
         out.append("timing spans:")
         out.append(
@@ -421,11 +247,11 @@ def render_stats(summary: CampaignSummary) -> str:
                 ["span", "count", "total s"],
                 [
                     [path, str(s.get("count", 0)), f"{s.get('total_s', 0.0):.3f}"]
-                    for path, s in sorted(summary.spans.items())
+                    for path, s in sorted(state.spans.items())
                 ],
             )
         )
-    if summary.counters:
+    if state.counters:
         out.append("")
         out.append("counters:")
         out.append(
@@ -433,7 +259,7 @@ def render_stats(summary: CampaignSummary) -> str:
                 ["counter", "value"],
                 [
                     [name, f"{value:g}"]
-                    for name, value in sorted(summary.counters.items())
+                    for name, value in sorted(state.counters.items())
                 ],
             )
         )

@@ -1,22 +1,12 @@
 """``repro watch``: a curses-free live terminal dashboard.
 
 Tails a campaign's ``events.jsonl`` through a
-:class:`~repro.obs.state.CampaignMonitor` and redraws a fixed-layout
-status screen at a configurable interval: overall status, totals,
-per-phase progress bars, the runs currently in flight, throughput / ETA
-from the EWMA model, and any anomaly flags (stragglers, error rate,
-stall).  Plain ANSI only — clear-and-home escapes plus unicode block
-bars — so it works over ssh, inside tmux, and in CI logs alike.
-
-Three exit modes:
-
-* interactive loop (default): redraw every ``--interval`` seconds until
-  the campaign emits ``campaign_finished`` (one last frame is drawn) or
-  the user hits Ctrl-C;
-* ``--once``: render a single frame and exit — scriptable, used by CI;
-* ``--json``: with ``--once``, dump :meth:`CampaignState.to_dict`
-  instead of the human frame (without ``--once``, stream one JSON
-  snapshot per interval, one per line).
+:class:`~repro.obs.state.CampaignMonitor` and redraws a plain-ANSI status
+screen (status, totals, per-phase bars, runs in flight, throughput / ETA,
+anomalies) every interval until ``campaign_finished`` folds or Ctrl-C.
+``--once`` renders one frame and exits; ``--json`` dumps
+:meth:`CampaignState.to_dict` instead of the frame (one per interval
+without ``--once``).
 """
 
 from __future__ import annotations
@@ -27,6 +17,7 @@ import time
 from typing import Any, Callable, TextIO
 
 from repro.obs.state import CampaignMonitor, CampaignState
+from repro.obs.views import fmt_s
 
 __all__ = ["render_watch", "watch_campaign"]
 
@@ -50,39 +41,28 @@ def _bar(done: int, total: int, width: int = _BAR_WIDTH) -> str:
     return "█" * filled + "░" * (width - filled)
 
 
-def _fmt_s(seconds: float | None) -> str:
-    if seconds is None:
-        return "--"
-    if seconds < 60:
-        return f"{seconds:.0f}s"
-    if seconds < 3600:
-        return f"{int(seconds // 60)}m{int(seconds % 60):02d}s"
-    return f"{int(seconds // 3600)}h{int(seconds % 3600 // 60):02d}m"
-
-
 def render_watch(
     state: CampaignState, *, campaign: str = "", now: float | None = None
 ) -> str:
     """One full dashboard frame as a string (no escapes; caller clears)."""
     now = now or time.time()
     status = state.status(now)
-    summary = state.summary
     lines: list[str] = []
 
     glyph = _STATUS_GLYPH.get(status, "?")
     head = f"{glyph} {status.upper()}"
     if campaign:
         head += f"  {campaign}"
-    if state.phase:
-        head += f"  [{state.phase}]"
+    if state.current_phase:
+        head += f"  [{state.current_phase}]"
     lines.append(head)
 
-    failures = sum(p.failures for p in summary.phases.values())
     age = state.age_s(now)
     lines.append(
-        f"  runs {summary.runs_finished}  hits {summary.cache_hits}  "
-        f"fails {failures}  in-flight {len(state.in_flight)}  "
-        f"batches {state.batches}  last event {_fmt_s(age)} ago"
+        f"  runs {state.total('runs_finished')}  "
+        f"hits {state.total('cache_hits')}  "
+        f"fails {state.total('failures')}  in-flight {len(state.in_flight)}  "
+        f"batches {state.batches}  last event {fmt_s(age)} ago"
     )
 
     rate = state.throughput()
@@ -90,14 +70,14 @@ def render_watch(
     wall_txt = f"{state.ewma_wall_s:.2f}s" if state.ewma_wall_s else "--"
     lines.append(
         f"  throughput {rate_txt}  ewma wall {wall_txt}  "
-        f"eta {_fmt_s(state.eta_s())}"
+        f"eta {fmt_s(state.eta_s())}"
     )
     lines.append("")
 
-    if summary.phases:
+    if state.phases:
         lines.append("  phases:")
-        name_w = max(len(n) for n in summary.phases)
-        for name, p in summary.phases.items():
+        name_w = max(len(n) for n in state.phases)
+        for name, p in state.phases.items():
             done = p.runs_finished + p.cache_hits
             total = max(p.runs_started + p.cache_hits, done)
             lines.append(
@@ -109,14 +89,10 @@ def render_watch(
 
     if state.in_flight:
         lines.append("  in flight:")
-        for (spec, slot), record in list(state.in_flight.items())[:8]:
-            ts = record.get("ts")
-            running = (
-                _fmt_s(now - float(ts)) if isinstance(ts, (int, float)) else "--"
-            )
+        for run in state.running(now)[:8]:
             lines.append(
-                f"    {spec[:12]:<12}  slot {slot}  "
-                f"{record.get('phase') or '(none)':<20}  {running}"
+                f"    {run['spec'][:12]:<12}  slot {run['slot']}  "
+                f"{run['phase'] or '(none)':<20}  {fmt_s(run['running_s'])}"
             )
         extra = len(state.in_flight) - 8
         if extra > 0:
@@ -131,13 +107,7 @@ def render_watch(
         lines.append("")
 
     if state.finished is not None:
-        fin = state.finished
-        lines.append(
-            f"  finished: status {fin.get('status', '?')}, "
-            f"{fin.get('runs_executed', 0)} executed, "
-            f"{fin.get('cache_hits', 0)} cached, "
-            f"{fin.get('wall_s', 0.0):.1f}s wall"
-        )
+        lines.append(f"  finished: {state.finished_line()}")
     return "\n".join(lines) + "\n"
 
 
@@ -166,7 +136,7 @@ def watch_campaign(
         while True:
             state = monitor.refresh()
             now = clock()
-            if once and state.events_applied == 0:
+            if once and state.events_total == 0:
                 print(
                     f"no event log at {monitor.events_path}",
                     file=sys.stderr,

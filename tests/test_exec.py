@@ -176,6 +176,47 @@ class TestScheduler:
         assert payload["jobs_total"] == 2 * len(specs)
         assert payload["throughput_runs_per_s"] > 0
 
+    def test_failed_batch_stays_in_the_books(self, tmp_path, monkeypatch):
+        """Regression: a batch that ends in SchedulerError used to skip its
+        batch_finished record, so ExecutionMetrics dropped every job of
+        it — the finished and stored ones included — while the event log
+        still counted the run that finished."""
+        from repro import obs
+        from repro.exec import scheduler as sched_mod
+        from repro.obs.events import read_events
+        from repro.obs.views import aggregate
+
+        good = RunSpec(benchmark="gcc", technique="drowsy", **FAST)
+        bad = RunSpec(benchmark="gzip", technique="drowsy", **FAST)
+        execute = sched_mod.execute_spec_observed
+
+        def flaky(spec):
+            if spec == bad:
+                raise RuntimeError("deterministic bug")
+            return execute(spec)
+
+        monkeypatch.setattr(sched_mod, "execute_spec_observed", flaky)
+        metrics = ExecutionMetrics()
+        store = ResultStore(tmp_path / "store")
+        log = tmp_path / "events.jsonl"
+        obs.enable(log)
+        try:
+            with pytest.raises(SchedulerError):
+                Scheduler(store=store, metrics=metrics, retries=1).run(
+                    [good, bad]
+                )
+        finally:
+            obs.reset()
+        folded = aggregate(read_events(log))
+        assert (metrics.jobs_total, metrics.jobs_executed) == (2, 1)
+        assert (metrics.retries, metrics.failures) == (1, 1)
+        assert folded.total("runs_finished") == metrics.jobs_executed == 1
+        assert folded.total("retries") == metrics.retries
+        assert folded.total("failures") == 2  # failed attempts
+        assert (folded.jobs_total, folded.jobs_executed) == (2, 1)
+        assert folded.batches == 1
+        assert store.get(good) is not None
+
     def test_rejects_bad_configuration(self):
         with pytest.raises(ValueError):
             Scheduler(max_workers=0)
@@ -240,7 +281,10 @@ class TestPoolTimeout:
 
     def test_pool_timeout_metrics_serialised(self):
         metrics = ExecutionMetrics()
-        metrics.timeouts += 3
+        for slot in range(3):
+            metrics.apply(
+                {"event": "run_requeued", "spec": "a", "slot": slot}
+            )
         assert metrics.to_dict()["timeouts"] == 3
 
 

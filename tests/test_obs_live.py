@@ -18,6 +18,7 @@ from repro.obs.live import (
     LiveReporter,
     build_live_page,
 )
+from repro.obs.report import RunSample
 from repro.obs.state import CampaignMonitor, CampaignState
 from repro.obs.watch import render_watch, watch_campaign
 
@@ -71,10 +72,10 @@ class TestCampaignState:
             ],
         )
         assert s.status(T0 + 4) == "running"
-        assert s.phase == "fig03"
+        assert s.current_phase == "fig03"
         assert list(s.in_flight) == [("bbb", 1)]
-        assert s.summary.runs_finished == 1
-        assert s.summary.cache_hits == 1
+        assert s.total("runs_finished") == 1
+        assert s.total("cache_hits") == 1
         assert s.ewma_wall_s == 2.0
 
     def test_ewma_and_eta(self):
@@ -209,7 +210,7 @@ class TestCampaignMonitor:
         _write_log(events, stream[:4])
         monitor = CampaignMonitor(tmp_path)
         state = monitor.refresh()
-        assert state.summary.runs_finished == 1
+        assert state.total("runs_finished") == 1
         with events.open("a", encoding="utf-8") as fh:
             for record in stream[4:]:
                 fh.write(json.dumps(record) + "\n")
@@ -221,7 +222,7 @@ class TestCampaignMonitor:
         events = tmp_path / "events.jsonl"
         _write_log(events, _finished_stream())
         monitor = CampaignMonitor(tmp_path)
-        assert monitor.refresh().summary.runs_finished == 2
+        assert monitor.refresh().total("runs_finished") == 2
         # A re-run rotates the old log aside and opens a fresh one.
         events.replace(tmp_path / "events.jsonl.1")
         _write_log(
@@ -232,7 +233,7 @@ class TestCampaignMonitor:
             ],
         )
         state = monitor.refresh()
-        assert state.summary.runs_finished == 0
+        assert state.total("runs_finished") == 0
         assert list(state.in_flight) == [("new", 0)]
         assert state.status(T0 + 102) == "running"
 
@@ -268,6 +269,26 @@ class TestWatch:
         assert rc == 2
         assert "no event log" in capsys.readouterr().err
 
+    def test_watch_once_reads_a_rotated_log(self, tmp_path, capsys):
+        rotated = tmp_path / "events.jsonl.1"
+        _write_log(rotated, _finished_stream())
+        rc = main(["watch", str(rotated), "--once", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["summary"]["runs_finished"] == 2
+
+    def test_monitor_resolves_paths_like_the_post_hoc_views(self, tmp_path):
+        rotated = tmp_path / "events.jsonl.1"
+        _write_log(rotated, _finished_stream())
+        assert CampaignMonitor(rotated).events_path == rotated
+        # A directory maps to its events.jsonl even before the campaign
+        # creates it, so the interactive loop can wait for the start.
+        assert CampaignMonitor(tmp_path).events_path == (
+            tmp_path / "events.jsonl"
+        )
+        later = tmp_path / "not-started-yet"
+        assert CampaignMonitor(later).events_path == later / "events.jsonl"
+
     def test_watch_loop_stops_on_finished(self, tmp_path):
         events = tmp_path / "events.jsonl"
         stream = _finished_stream()
@@ -294,6 +315,12 @@ class TestWatch:
         assert "DONE" in out.getvalue()
 
 
+def _sample(*records) -> RunSample:
+    sample = RunSample()
+    sample.add(records)
+    return sample
+
+
 def _ts_record(spec: str, n: int = 5) -> dict:
     return {
         "spec": spec,
@@ -312,13 +339,13 @@ class TestLivePage:
         page = build_live_page(
             s,
             campaign="demo",
-            runs=[_ts_record("aaa")],
+            runs=_sample(_ts_record("aaa")),
             refresh_s=2.0,
             now=T0 + 6,
         )
         assert "http-equiv='refresh'" in page
         assert "fig03" in page
-        assert "<svg" in page  # sparkline rendered
+        assert "<svg" in page  # the run section's charts
         assert "1.4" in page  # cpu.ipc tail value
 
     def test_finished_page_is_static(self):
@@ -367,6 +394,15 @@ class TestLivePage:
         assert rc == 0
         assert LIVE_REPORT_FILENAME in capsys.readouterr().out
         assert (tmp_path / LIVE_REPORT_FILENAME).exists()
+
+    def test_report_live_once_reads_a_rotated_log(self, tmp_path, capsys):
+        _write_log(tmp_path / "events.jsonl.1", _finished_stream())
+        rc = main(
+            ["report", str(tmp_path / "events.jsonl.1"), "--live", "--once"]
+        )
+        assert rc == 0
+        page = (tmp_path / LIVE_REPORT_FILENAME).read_text()
+        assert "campaign finished: status ok" in page
 
     def test_report_once_without_live_rejected(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path), "--once"])

@@ -112,6 +112,13 @@ class TestReport:
         with pytest.raises(FileNotFoundError, match="no event log"):
             build_report(tmp_path / "nowhere")
 
+    def test_torn_final_timeseries_line_is_not_charted(self, tmp_path):
+        camp = _campaign(tmp_path / "camp", runs=1)
+        whole = build_report(camp)
+        with (camp / TIMESERIES_FILENAME).open("a") as fh:
+            fh.write('{"spec": "%s", "phase": "fig1", "series": []}' % _spec(9))
+        assert build_report(camp) == whole
+
     def test_run_sections_are_capped(self, tmp_path):
         camp = _campaign(tmp_path / "camp", runs=MAX_RUN_SECTIONS + 3)
         html = build_report(camp)

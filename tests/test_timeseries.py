@@ -223,6 +223,19 @@ class TestTimeseriesLog:
             fh.write('{"spec": "bbbb", "series": [tor')
         assert [r["spec"] for r in read_timeseries(path)] == ["a" * 64]
 
+    def test_complete_final_line_without_newline_is_not_yielded(
+        self, tmp_path
+    ):
+        """A run whose line is still being written (valid JSON, no newline
+        yet) is not read — the same rule the event log reader keeps."""
+        path = tmp_path / TIMESERIES_FILENAME
+        log = TimeseriesLog(path)
+        log.write("a" * 64, "", RunRecorder().to_payload())
+        log.close()
+        with path.open("a") as fh:
+            fh.write('{"spec": "bbbb", "series": []}')
+        assert [r["spec"] for r in read_timeseries(path)] == ["a" * 64]
+
     def test_resolve_accepts_dir_and_file(self, tmp_path):
         path = tmp_path / TIMESERIES_FILENAME
         TimeseriesLog(path).close()
