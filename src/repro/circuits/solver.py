@@ -22,7 +22,9 @@ captures.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from scipy.optimize import brentq
 
@@ -31,6 +33,9 @@ from repro.circuits.netlist import GND_NODE, VDD_NODE, Netlist, Transistor
 from repro.memo import LRUMemo
 from repro.tech.constants import ROOM_TEMP_K, quantise_temp, thermal_voltage
 from repro.tech.nodes import TechnologyNode
+
+if TYPE_CHECKING:  # pragma: no cover - the sidecar imports this module
+    from repro.circuits.sidecar import SolveSidecar
 
 _EXP_CAP = 60.0  # cap softplus arguments to avoid overflow
 
@@ -47,9 +52,30 @@ _EXP_CAP = 60.0  # cap softplus arguments to avoid overflow
 _SOLVE_MEMO = LRUMemo(maxsize=4096)
 
 
+class _Attached(threading.local):
+    """The persisted tier under the memo (:mod:`repro.circuits.sidecar`).
+
+    Set while a scheduler with a result store runs, None otherwise.
+    Per thread, so concurrent schedulers in one process (each serving
+    its own store) never restore each other's attachment.
+    """
+
+    sidecar: SolveSidecar | None = None
+
+
+_ATTACHED = _Attached()
+
+
 def clear_solve_memo() -> None:
     """Drop every memoised DC solve (tests and benchmarks)."""
     _SOLVE_MEMO.clear()
+
+
+def attach_sidecar(sidecar: SolveSidecar | None) -> SolveSidecar | None:
+    """Install this thread's persisted solve tier (None detaches); returns
+    the old one."""
+    previous, _ATTACHED.sidecar = _ATTACHED.sidecar, sidecar
+    return previous
 
 
 def _softplus(x: float) -> float:
@@ -187,6 +213,13 @@ class LeakageSolver:
             _obs.incr("solver.memo_hits")
             return cached
         _obs.incr("solver.memo_misses")
+        sidecar = _ATTACHED.sidecar
+        if sidecar is not None:
+            store_key = sidecar.key(memo_key)
+            stored = sidecar.get(store_key)
+            if stored is not None:
+                _SOLVE_MEMO[memo_key] = stored
+                return stored
 
         fixed: dict[str, float] = {VDD_NODE: self.vdd, GND_NODE: 0.0}
         for name, value in input_values.items():
@@ -221,6 +254,8 @@ class LeakageSolver:
             residual_norm=residual_norm,
         )
         _SOLVE_MEMO[memo_key] = result
+        if sidecar is not None:
+            sidecar.put(store_key, result)
         return result
 
     def _relax(

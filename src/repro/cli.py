@@ -574,6 +574,8 @@ def _cmd_store_stats(args) -> int:
         ["live claims", str(report.claims)],
         ["quarantined", str(report.quarantined)],
         [".tmp orphans", str(report.tmp_orphans)],
+        ["analytic entries", str(report.analytic_entries)],
+        ["analytic bytes", str(report.analytic_bytes)],
     ]
     for name, value in sorted(report.counters.items()):
         rows.append([f"lifetime {name}", f"{value:g}"])

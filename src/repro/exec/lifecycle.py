@@ -44,7 +44,9 @@ GC / compaction / sweeping (:func:`collect_garbage`,
     pinned and claimed keys; compaction drops empty shard directories
     and rewrites the index from a fresh walk; the orphan sweep clears
     ``.tmp`` litter, dead claims and dead manifests left by killed
-    processes.
+    processes, plus DC-solve sidecar generations (``analytic/``, see
+    :mod:`repro.circuits.sidecar`) written under another code version.
+    Entry scans, GC and compaction never look inside ``analytic/``.
 """
 
 from __future__ import annotations
@@ -52,12 +54,14 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from repro import obs as _obs
+from repro.circuits.sidecar import ANALYTIC_DIR, generation as _sidecar_generation
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.exec.spec import RunSpec
@@ -765,17 +769,37 @@ class SweepReport:
     tmp_removed: int = 0
     stale_claims: int = 0
     stale_manifests: int = 0
+    stale_analytic: int = 0
 
     def summary(self) -> str:
         return (
             f"removed {self.tmp_removed} orphaned .tmp file(s), "
             f"{self.stale_claims} stale claim(s), "
-            f"{self.stale_manifests} dead manifest(s)"
+            f"{self.stale_manifests} dead manifest(s), "
+            f"{self.stale_analytic} stale analytic generation(s)"
         )
 
 
+def _subdirs(directory: Path) -> list[Path]:
+    try:
+        return [path for path in directory.iterdir() if path.is_dir()]
+    except OSError:
+        return []
+
+
+def _analytic_shards(root: Path) -> list[Path]:
+    """Shard directories of every DC-solve sidecar generation."""
+    return [
+        shard
+        for gen in _subdirs(root / ANALYTIC_DIR)
+        for shard in _subdirs(gen)
+        if _SHARD_RE.match(shard.name)
+    ]
+
+
 def _tmp_litter(root: Path) -> list[Path]:
-    """Every ``*.tmp`` file in the store root and its shard directories.
+    """Every ``*.tmp`` file in the store root, its shard directories and
+    the sidecar's shard directories.
 
     A plain suffix check, deliberately not ``glob("*.tmp")``: hidden temp
     names (``.<prefix>-XXXX.tmp``) must count exactly once whatever the
@@ -785,7 +809,7 @@ def _tmp_litter(root: Path) -> list[Path]:
     for directory in (root, *(
         shard for shard in root.iterdir()
         if _SHARD_RE.match(shard.name) and shard.is_dir()
-    )):
+    ), *_analytic_shards(root)):
         try:
             litter.extend(
                 path
@@ -808,7 +832,9 @@ def sweep_orphans(
 
     ``.tmp`` files older than ``tmp_age_s`` (a live writer holds its temp
     file for milliseconds), claims whose holder is dead or silent past
-    ``claim_stale_s``, and manifests of dead processes.
+    ``claim_stale_s``, manifests of dead processes, and DC-solve sidecar
+    generations salted by another ``CODE_VERSION`` or solver source (no
+    current process can ever read them).
     """
     if now is None:
         now = time.time()
@@ -853,12 +879,20 @@ def sweep_orphans(
                 report.stale_manifests += 1
             except OSError:
                 continue
+
+    current = _sidecar_generation()
+    for gen in _subdirs(root / ANALYTIC_DIR):
+        if gen.name == current:
+            continue
+        shutil.rmtree(gen, ignore_errors=True)
+        report.stale_analytic += 1
     if _obs.is_enabled():
         _obs.emit(
             "store_swept",
             tmp_removed=report.tmp_removed,
             stale_claims=report.stale_claims,
             stale_manifests=report.stale_manifests,
+            stale_analytic=report.stale_analytic,
         )
     return report
 
@@ -877,12 +911,16 @@ class StoreReport:
     claims: int = 0
     quarantined: int = 0
     tmp_orphans: int = 0
+    analytic_entries: int = 0
+    analytic_bytes: int = 0
 
     def to_dict(self) -> dict:
         return {
             "root": self.root,
             "entries": self.entries,
             "total_bytes": self.total_bytes,
+            "analytic_entries": self.analytic_entries,
+            "analytic_bytes": self.analytic_bytes,
             "generation": self.generation,
             "shards": {
                 shard: {"entries": count, "bytes": size}
@@ -920,6 +958,13 @@ def store_report(store: "ResultStore") -> StoreReport:
         if quarantine.is_dir():
             report.quarantined = sum(1 for _ in quarantine.iterdir())
         report.tmp_orphans = len(_tmp_litter(root))
+        for shard in _analytic_shards(root):
+            for path in shard.glob("*.json"):
+                try:
+                    report.analytic_bytes += path.stat().st_size
+                except OSError:  # racing quarantine or prune
+                    continue
+                report.analytic_entries += 1
     return report
 
 

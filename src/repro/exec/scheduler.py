@@ -37,19 +37,22 @@ results, in order, with five behaviours layered on top of plain execution:
    :class:`~repro.exec.lifecycle.SingleFlight` claim files: if another
    scheduler — any process on this machine — is already computing the
    same spec hash, this one waits and reads the committed result instead
-   of duplicating the work.
+   of duplicating the work.  DC solves also persist next to the store
+   (:mod:`repro.circuits.sidecar`), so fresh processes skip the relaxation.
 """
 
 from __future__ import annotations
 
 import os
 import time
+import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from repro import obs as _obs
+from repro.circuits import sidecar as _sidecar
 from repro.obs import metrics as _metrics
 from repro.obs import timeseries as _ts
 from repro.exec.lifecycle import CampaignManifest, SingleFlight
@@ -202,8 +205,19 @@ class Scheduler:
         Equivalent to calling ``spec.execute()`` in a loop (runs are
         deterministic), but cached, deduplicated, and parallel.  The
         batch's ``batch_finished`` record is booked even when a job fails
-        for good and :class:`SchedulerError` propagates.
+        for good and :class:`SchedulerError` propagates.  With a store,
+        DC solves read and fill its sidecar (:mod:`repro.circuits.sidecar`)
+        here and in every pool worker.
         """
+        root = self.store.root if self.store is not None else None
+        with _sidecar.attached(root):
+            return self._run(specs, progress)
+
+    def _run(
+        self,
+        specs: Sequence[RunSpec],
+        progress: Callable[[str], None] | None,
+    ) -> list[NetSavingsResult]:
         start = time.perf_counter()
         if progress is None:
             progress = self.progress
@@ -386,6 +400,10 @@ class Scheduler:
         try:
             value = outcome()
         except Exception as exc:
+            # Keep the error (retries, the final SchedulerError) but drop
+            # its frames' locals: a frame <-> ``failed`` cycle would pin
+            # the failed run's whole cache model until a full collection.
+            traceback.clear_frames(exc.__traceback__)
             failed.append((i, exc))
             self.event("run_failed", spec=key, slot=i, error=repr(exc))
             return False
@@ -424,7 +442,15 @@ class Scheduler:
     ) -> tuple[list[tuple[int, BaseException]], list[int]]:
         """Pool execution; returns ``(failed, abandoned_slots)``."""
         try:
-            executor = ProcessPoolExecutor(max_workers=self.max_workers)
+            # Workers attach the store's DC-solve sidecar themselves, so
+            # they read it whatever the start method.
+            worker_init = {} if self.store is None else {
+                "initializer": _sidecar.attach_store,
+                "initargs": (str(self.store.root),),
+            }
+            executor = ProcessPoolExecutor(
+                max_workers=self.max_workers, **worker_init
+            )
         except (OSError, ValueError, ImportError) as exc:
             batch.note(f"process pool unavailable ({exc!r}); running serially")
             return self._run_serial(batch, todo), []

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, NamedTuple
 
 _MEMOS: weakref.WeakSet = weakref.WeakSet()
 _AUX_RESETS: list[Callable[[], None]] = []
@@ -44,13 +44,23 @@ def reset_all() -> None:
     One switch for the whole analytic layer: the solver's DC-solve memo,
     the ``k_design`` memo (and its surface-fit cache), and the residual-
     fraction memo all empty after this call — the memo-reset tests assert
-    it.  Eviction counters are left alone; they are diagnostics, not
-    state.
+    it.  Hit/miss/eviction counters are left alone; they are diagnostics,
+    not state.
     """
     for memo in list(_MEMOS):
         memo.clear()
     for fn in _AUX_RESETS:
         fn()
+
+
+class MemoInfo(NamedTuple):
+    """Snapshot of one memo's accounting (``functools`` / fsspec idiom)."""
+
+    hits: int
+    misses: int
+    evictions: int
+    size: int
+    maxsize: int
 
 
 class LRUMemo:
@@ -62,12 +72,14 @@ class LRUMemo:
             are small and the cap only exists to bound long campaigns).
     """
 
-    __slots__ = ("maxsize", "evictions", "_data", "__weakref__")
+    __slots__ = ("maxsize", "hits", "misses", "evictions", "_data", "__weakref__")
 
     def __init__(self, maxsize: int) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        self.hits = 0
+        self.misses = 0
         self.evictions = 0
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         _MEMOS.add(self)
@@ -77,9 +89,17 @@ class LRUMemo:
         try:
             value = data[key]
         except KeyError:
+            self.misses += 1
             return default
+        self.hits += 1
         data.move_to_end(key)
         return value
+
+    def cache_info(self) -> MemoInfo:
+        """Lookups served and missed, evictions, and current/maximum size."""
+        return MemoInfo(
+            self.hits, self.misses, self.evictions, len(self._data), self.maxsize
+        )
 
     def __setitem__(self, key: Hashable, value: Any) -> None:
         data = self._data

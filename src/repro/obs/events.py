@@ -29,7 +29,8 @@ by the instrumented layers:
 ``phase_finished``  a campaign phase closed (with its wall seconds)
 ``store_gc``        a store GC pass ran (evicted/kept/pinned counts)
 ``store_compacted`` empty shards dropped, index re-anchored to disk
-``store_swept``     orphaned .tmp/claim/manifest litter removed
+``store_swept``     orphaned .tmp/claim/manifest litter and stale
+                    DC-solve sidecar generations removed
 ``batch_finished``  a scheduler batch completed (jobs/cached/executed/wall)
 ``campaign_finished``  the campaign's terminal event: status, totals and
                     wall seconds — tailers use it to tell "done" from

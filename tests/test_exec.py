@@ -161,6 +161,37 @@ class TestScheduler:
         with pytest.raises(SchedulerError, match="failed after 1 retries"):
             Scheduler(max_workers=1, retries=1).run([spec])
 
+    def test_failed_run_releases_its_locals(self, monkeypatch):
+        """A failed run's traceback must not pin the run's working set
+        (its cache model) for as long as the error is held, nor through a
+        reference cycle until the next full collection."""
+        import gc
+        import weakref
+
+        from repro.exec import scheduler as sched_mod
+
+        class WorkingSet:
+            pass
+
+        alive = []
+
+        def broken(spec):
+            working_set = WorkingSet()
+            alive.append(weakref.ref(working_set))
+            raise RuntimeError("deterministic bug")
+
+        monkeypatch.setattr(sched_mod, "execute_spec", broken)
+        spec = RunSpec(benchmark="gcc", technique="drowsy", **FAST)
+        gc.disable()
+        try:
+            with pytest.raises(SchedulerError) as info:
+                Scheduler(max_workers=1, retries=1).run([spec])
+            assert len(alive) == 2
+            assert all(ref() is None for ref in alive)
+            assert "deterministic bug" in repr(info.value.__cause__)
+        finally:
+            gc.enable()
+
     def test_metrics_aggregate_batches(self, tmp_path):
         specs = self._specs()
         store = ResultStore(tmp_path / "store")

@@ -17,9 +17,13 @@ import multiprocessing
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.circuits.sidecar import ANALYTIC_DIR, SolveSidecar, generation
+from repro.circuits.solver import DCResult
+from repro.cli import main as cli_main
 from repro.exec import (
     CampaignManifest,
     ExecutionMetrics,
@@ -60,6 +64,21 @@ def fill_store(store: ResultStore, count: int) -> list[RunSpec]:
         store.put(spec, make_result(decay_interval=1000 + len(specs)))
     store.flush_index()
     return specs
+
+
+def fill_sidecar(store: ResultStore, count: int) -> list[Path]:
+    """Canned DC-solve sidecar entries under the store's current generation."""
+    sidecar = SolveSidecar(store.root)
+    result = DCResult(
+        voltages={"vdd": 1.0, "gnd": 0.0, "n1": 0.25},
+        supply_current=2e-9,
+        ground_current=2e-9,
+        residual_norm=1e-20,
+    )
+    keys = [f"{i:02x}" * 32 for i in range(count)]
+    for key in keys:
+        assert sidecar.put(key, result)
+    return [sidecar.path_for(key) for key in keys]
 
 
 def age_entry(store: ResultStore, spec: RunSpec, when: float) -> None:
@@ -201,6 +220,24 @@ class TestStoreReport:
         assert report.pins == 1
         assert report.claims == 1
 
+    def test_counts_analytic_sidecar_separately(self, tmp_path, capsys):
+        store = ResultStore(tmp_path / "cache")
+        fill_store(store, 2)
+        paths = fill_sidecar(store, 3)
+        report = store_report(store)
+        assert report.entries == 2  # the sidecar is not a result entry
+        assert report.analytic_entries == 3
+        assert report.analytic_bytes == sum(p.stat().st_size for p in paths)
+
+        assert cli_main(["store", "stats", str(store.root), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["analytic_entries"] == 3
+        assert payload["analytic_bytes"] == report.analytic_bytes
+        assert cli_main(["store", "stats", str(store.root)]) == 0
+        text = capsys.readouterr().out
+        assert "| analytic entries | 3 " in text
+        assert f"| analytic bytes   | {report.analytic_bytes} " in text
+
 
 class TestGc:
     def test_needs_a_budget(self, tmp_path):
@@ -340,8 +377,27 @@ class TestGc:
         assert report.counters["evicted_bytes"] > 0
         assert store.stats.evictions == 2
 
+    def test_gc_never_touches_the_sidecar(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        specs = fill_store(store, 3)
+        paths = fill_sidecar(store, 2)
+        assert set(scan_entries(store.root)) == {s.content_hash() for s in specs}
+        report = collect_garbage(store, max_bytes=0)
+        assert report.evicted == 3
+        assert all(p.exists() for p in paths)
+        assert store_report(store).analytic_entries == 2
+
 
 class TestCompact:
+    def test_leaves_the_sidecar_alone(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        fill_store(store, 2)
+        paths = fill_sidecar(store, 2)
+        report = compact_store(store)
+        assert report.entries == 2
+        assert all(p.exists() for p in paths)
+        assert set(store.index.load()["entries"]).isdisjoint(p.stem for p in paths)
+
     def test_removes_empty_shards_and_dangling_index_entries(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         specs = fill_store(store, 3)
@@ -384,6 +440,27 @@ class TestSweep:
         assert report.tmp_removed == 1
         assert not old.exists()
         assert fresh.exists()
+
+    def test_sweeps_sidecar_tmp_litter_and_stale_generations(self, tmp_path):
+        store = ResultStore(tmp_path / "cache")
+        (current,) = fill_sidecar(store, 1)
+        old_tmp = current.parent / ".dead-solve.tmp"
+        old_tmp.write_text("x")
+        os.utime(old_tmp, (100.0, 100.0))
+        fresh_tmp = current.parent / ".live-solve.tmp"
+        fresh_tmp.write_text("y")
+        stale = store.root / ANALYTIC_DIR / "v0-0123456789abcdef"
+        (stale / "ab").mkdir(parents=True)
+        (stale / "ab" / f"{'ab' * 32}.json").write_text("{}")
+        assert store_report(store).tmp_orphans == 2
+        report = sweep_orphans(store, tmp_age_s=3600.0)
+        assert report.tmp_removed == 1
+        assert report.stale_analytic == 1
+        assert "1 stale analytic generation(s)" in report.summary()
+        assert not old_tmp.exists() and fresh_tmp.exists()
+        assert not stale.exists()
+        assert current.exists()
+        assert current.parent.parent.name == generation()
 
     def test_removes_dead_claims_and_manifests(self, tmp_path):
         store = ResultStore(tmp_path / "cache")

@@ -386,6 +386,22 @@ class TestLRUMemo:
         assert memo.get("a") == 1
         assert memo.get("c") == 3
 
+    def test_cache_info_counts_hits_misses_evictions(self):
+        memo = LRUMemo(maxsize=2)
+        assert memo.cache_info() == (0, 0, 0, 0, 2)
+        memo.get("a")  # miss
+        memo["a"] = 1
+        memo.get("a")  # hit
+        memo["b"] = 2
+        memo["c"] = 3  # evicts a
+        memo.get("a")  # miss
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.evictions) == (1, 2, 1)
+        assert (info.size, info.maxsize) == (2, 2)
+        memo.clear()
+        assert memo.cache_info().size == 0
+        assert memo.cache_info().hits == 1  # diagnostics survive a clear
+
     def test_contains_and_clear(self):
         memo = LRUMemo(maxsize=4)
         memo["k"] = "v"
