@@ -21,14 +21,18 @@ next to the :class:`~repro.exec.store.ResultStore` it serves:
   one salt share a directory, so ``repro store prune`` can drop whole
   generations written by other code.
 * **Value** -- the ``DCResult`` with ``repr`` floats (voltages as ordered
-  pairs), so a loaded result equals a fresh one bit for bit.  Writes go
-  through a temp file plus ``os.replace`` with no fsync: an entry can
-  always be recomputed, and every read is validated.
+  pairs), so a loaded result equals a fresh one bit for bit.  Writes are
+  atomic but not durable (:func:`repro.fsio.write_text` with
+  ``durable=False``): an entry can always be recomputed, and every read
+  is validated.
 * **Validation** -- an entry is a miss, moved to the store's
-  ``quarantine/`` and recomputed if its schema version or echoed key
+  ``quarantine/`` as ``analytic-<name>.<ns>`` (:func:`repro.fsio.quarantine`)
+  and recomputed if it does not decode, its schema version or echoed key
   differs, any float is non-finite, or its residual exceeds
-  :data:`RESIDUAL_BOUND` times the rail current.  A fresh solve that fails
-  the same check is returned as always but never written.
+  :data:`RESIDUAL_BOUND` times the rail current.  An absent or
+  transiently unreadable entry is a plain miss and stays in place.  A
+  fresh solve that fails the same check is returned as always but never
+  written.
 
 The sidecar is attached by :class:`~repro.exec.scheduler.Scheduler`
 whenever it has a store (in-process around ``run`` and in pool workers via
@@ -43,13 +47,11 @@ import functools
 import hashlib
 import json
 import math
-import os
-import tempfile
-import time
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Iterator
 
+from repro import fsio
 from repro import obs as _obs
 from repro.circuits import netlist as _netlist
 from repro.circuits import solver as _solver
@@ -178,17 +180,11 @@ class SolveSidecar:
     def get(self, key: str) -> DCResult | None:
         """The stored solve for ``key``; a bad entry is quarantined."""
         path = self.path_for(key)
-        result = None
-        try:
-            payload = json.loads(path.read_text())
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            self._quarantine(path)
-        except OSError:
-            pass  # absent, or transient: keep the entry, recompute this time
-        else:
-            result = _decode(payload, key)
-            if result is None:
-                self._quarantine(path)
+        status, payload = fsio.read_json(path)
+        result = _decode(payload, key) if status == fsio.OK else None
+        if status == fsio.CORRUPT or (status == fsio.OK and result is None):
+            _obs.incr("solver.store_invalid")
+            fsio.quarantine(self.store_root, path, prefix=f"{ANALYTIC_DIR}-")
         _obs.incr("solver.store_hits" if result is not None else "solver.store_misses")
         return result
 
@@ -207,33 +203,13 @@ class SolveSidecar:
                 "residual_norm": float(result.residual_norm),
             },
         }
-        path = self.path_for(key)
-        tmp = None
+        text = json.dumps(payload, sort_keys=True) + "\n"
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(payload, sort_keys=True) + "\n")
-            os.replace(tmp, path)
+            fsio.write_text(self.path_for(key), text, durable=False)
         except OSError:
-            if tmp is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
             return False
         _obs.incr("solver.store_writes")
         return True
-
-    def _quarantine(self, path: Path) -> None:
-        from repro.exec.store import QUARANTINE_DIR
-
-        name = f"{ANALYTIC_DIR}-{path.name}.{time.time_ns()}"
-        dest = self.store_root / QUARANTINE_DIR / name
-        _obs.incr("solver.store_invalid")
-        with contextlib.suppress(OSError):
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
 
 
 def attach_store(store_root: str | Path) -> SolveSidecar | None:

@@ -11,7 +11,7 @@ records — books jobs/hit-rate/throughput and per-phase wall time for
 ``campaign_metrics.json``.
 
 :mod:`repro.exec.lifecycle` keeps the store healthy when it is shared
-across many clients: a size/recency index, LRU eviction under
+across many clients: lifetime counters, LRU eviction by file mtime under
 ``max_bytes`` / ``max_age`` budgets (never touching entries pinned by an
 in-progress campaign's :class:`CampaignManifest`), :class:`SingleFlight`
 claim files so concurrent schedulers never compute the same spec twice,

@@ -5,21 +5,21 @@ append-only — left alone it grows forever.  This module is the paper's
 own leakage-control idea applied to our infrastructure: just as decay
 turns off cache lines whose retention cost outweighs their value, the
 store evicts entries by recency once a size or age budget is exceeded,
-with ``cache_info()``-style instrumented accounting throughout.
+with ``cache_info()``-style instrumented accounting throughout.  Like a
+decay counter that sits next to its line and resets on access, an
+entry's recency is its own file mtime, refreshed by every hit; the
+filesystem is the only book of entry sizes and recency.
 
 Four cooperating pieces, all living *inside* the store root so any
 process that can see the store can participate:
 
 ``index.json`` (:class:`StoreIndex`)
-    One atomic JSON document tracking per-entry byte size, the write
-    *generation* (which GC era produced the entry) and the last-access
-    time, plus lifetime counters (hits/misses/writes/evictions) that
-    survive across processes.  Access times are batched in memory and
-    flushed with an atomic load-merge-write, so a crash loses at most
-    one batch of *recency hints* — never data.  A missing or corrupt
-    index is rebuilt from a filesystem walk; file mtimes stand in for
-    unknown access times, so eviction order degrades gracefully instead
-    of failing.
+    What has no other home: lifetime counters (hits/misses/writes/
+    evictions) that survive across processes, and the GC *generation*
+    (how many GC passes the store has seen).  Counter deltas are batched
+    in memory and flushed with an atomic load-merge-write, so a crash
+    loses at most one batch of counts — never data.  A missing or
+    corrupt index reads as zero counters at generation 0.
 
 ``manifests/`` (:class:`CampaignManifest`)
     Pin files.  A scheduler batch writes one manifest naming every spec
@@ -41,11 +41,11 @@ GC / compaction / sweeping (:func:`collect_garbage`,
 :func:`compact_store`, :func:`sweep_orphans`, :func:`store_report`)
     The ``repro-paper store stats|gc|compact|prune`` verbs.  GC enforces
     ``--max-bytes`` / ``--max-age`` budgets in LRU order, skipping
-    pinned and claimed keys; compaction drops empty shard directories
-    and rewrites the index from a fresh walk; the orphan sweep clears
-    ``.tmp`` litter, dead claims and dead manifests left by killed
-    processes, plus DC-solve sidecar generations (``analytic/``, see
-    :mod:`repro.circuits.sidecar`) written under another code version.
+    pinned and claimed keys; compaction drops empty shard directories;
+    the orphan sweep clears ``.tmp`` litter, dead claims and dead
+    manifests left by killed processes, plus DC-solve sidecar
+    generations (``analytic/``, see :mod:`repro.circuits.sidecar`)
+    written under another code version.
     Entry scans, GC and compaction never look inside ``analytic/``.
 """
 
@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro import fsio
 from repro import obs as _obs
 from repro.circuits.sidecar import ANALYTIC_DIR, generation as _sidecar_generation
 
@@ -73,8 +74,8 @@ INDEX_SCHEMA_VERSION = 1
 MANIFESTS_DIR = "manifests"
 CLAIMS_DIR = "claims"
 
-DEFAULT_FLUSH_EVERY = 64
-"""Buffered index operations that trigger an automatic flush."""
+FLUSH_EVERY = 64
+"""Buffered counter bumps that trigger an automatic index flush."""
 
 DEFAULT_CLAIM_STALE_S = 900.0
 """Age after which a claim whose holder made no progress is stolen."""
@@ -123,38 +124,6 @@ def parse_duration(text: str | float | int) -> float:
     return float(value) * _DURATION_UNITS[unit.lower()]
 
 
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknown errors count as alive."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # EPERM and friends: something is running there
-        return True
-    return True
-
-
-def _atomic_write_json(path: Path, payload: dict) -> None:
-    """Atomic + durable JSON write (tmp in same dir, fsync, replace)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{time.time_ns()}.tmp")
-    blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(blob)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def scan_entries(root: str | Path) -> dict[str, tuple[int, float]]:
     """Walk the shard tree: ``{key: (size_bytes, mtime)}``.
 
@@ -186,98 +155,50 @@ def scan_entries(root: str | Path) -> dict[str, tuple[int, float]]:
 
 
 class StoreIndex:
-    """Batched, crash-safe accounting sidecar for one store root.
+    """Lifetime counters and GC generation of one store root.
 
-    Mutations (:meth:`touch`, :meth:`record_write`, :meth:`drop`,
-    :meth:`bump`) buffer in memory and are folded into ``index.json``
-    by :meth:`flush` with an atomic load-merge-write, so concurrent
-    writers merge rather than clobber each other and a crash loses at
-    most one unflushed batch of recency hints.  Every
-    :data:`DEFAULT_FLUSH_EVERY` buffered operations flush automatically.
+    :meth:`bump` buffers counter deltas in memory; :meth:`flush` folds
+    them into ``index.json`` with an atomic load-merge-write, so
+    concurrent writers merge rather than clobber each other.  Every
+    :data:`FLUSH_EVERY` buffered bumps flush automatically.  An older
+    ``index.json`` that also carries a per-entry table loads with its
+    counters and generation; the next flush writes it without the table.
     """
 
-    def __init__(
-        self, root: str | Path, *, flush_every: int = DEFAULT_FLUSH_EVERY
-    ) -> None:
-        self.root = Path(root)
-        self.path = self.root / INDEX_FILENAME
-        self.flush_every = flush_every
-        self._touches: dict[str, float] = {}
-        self._writes: dict[str, int] = {}
-        self._drops: set[str] = set()
+    def __init__(self, root: str | Path) -> None:
+        self.path = Path(root) / INDEX_FILENAME
         self._counters: dict[str, float] = {}
         self._ops = 0
-
-    # -- buffered mutations --------------------------------------------
-
-    def touch(self, key: str, *, now: float | None = None) -> None:
-        """Record a hit on ``key`` (batched; flushed later)."""
-        self._touches[key] = time.time() if now is None else now
-        self._bump_ops()
-
-    def record_write(
-        self, key: str, size: int, *, now: float | None = None
-    ) -> None:
-        """Record a fresh entry of ``size`` bytes under ``key``."""
-        self._writes[key] = size
-        self._touches[key] = time.time() if now is None else now
-        self._drops.discard(key)
-        self._bump_ops()
-
-    def drop(self, key: str) -> None:
-        """Forget ``key`` (evicted or quarantined)."""
-        self._drops.add(key)
-        self._touches.pop(key, None)
-        self._writes.pop(key, None)
-        self._bump_ops()
 
     def bump(self, counter: str, delta: float = 1) -> None:
         """Accumulate a lifetime counter delta (hits, misses, ...)."""
         self._counters[counter] = self._counters.get(counter, 0) + delta
-        self._bump_ops()
-
-    def _bump_ops(self) -> None:
         self._ops += 1
-        if self._ops >= self.flush_every:
+        if self._ops >= FLUSH_EVERY:
             self.flush()
 
     @property
     def dirty(self) -> bool:
-        return bool(
-            self._touches or self._writes or self._drops or self._counters
-        )
-
-    # -- persistence ---------------------------------------------------
+        return bool(self._counters)
 
     def load(self) -> dict:
-        """The on-disk payload, rebuilt from a walk when absent/corrupt."""
-        try:
-            payload = json.loads(self.path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return self.rebuild_payload()
+        """The on-disk payload; zero counters at generation 0 when the
+        index is absent, unreadable or of another schema."""
+        status, payload = fsio.read_json(self.path)
         if (
-            not isinstance(payload, dict)
+            status != fsio.OK
+            or not isinstance(payload, dict)
             or payload.get("schema_version") != INDEX_SCHEMA_VERSION
-            or not isinstance(payload.get("entries"), dict)
         ):
-            return self.rebuild_payload()
-        return payload
-
-    def rebuild_payload(self) -> dict:
-        """A fresh payload from the filesystem (mtime stands in for atime)."""
-        entries = {
-            key: {"size": size, "gen": 0, "atime": mtime}
-            for key, (size, mtime) in scan_entries(self.root).items()
-        }
+            payload = {}
         return {
             "schema_version": INDEX_SCHEMA_VERSION,
-            "generation": 0,
-            "counters": {},
-            "entries": entries,
+            "generation": int(payload.get("generation", 0)),
+            "counters": dict(payload.get("counters") or {}),
         }
 
     def flush(self, *, bump_generation: bool = False) -> bool:
-        """Fold the buffered batch into ``index.json``; True if written.
+        """Fold the buffered counters into ``index.json``; True if written.
 
         Failures are swallowed (a read-only filesystem must not break a
         run — the index is an accounting sidecar, never load-bearing for
@@ -287,36 +208,23 @@ class StoreIndex:
         """
         if not self.dirty and not bump_generation:
             return False
+        payload = self.load()
+        counters = payload["counters"]
+        for name, delta in self._counters.items():
+            counters[name] = counters.get(name, 0) + delta
+        if bump_generation:
+            payload["generation"] += 1
         try:
-            payload = self.load()
-            self._merge_into(payload)
-            if bump_generation:
-                payload["generation"] = int(payload.get("generation", 0)) + 1
-            _atomic_write_json(self.path, payload)
+            fsio.write_text(self.path, _dump(payload), durable=True)
         except OSError:
             return False
-        self._touches.clear()
-        self._writes.clear()
-        self._drops.clear()
         self._counters.clear()
         self._ops = 0
         return True
 
-    def _merge_into(self, payload: dict) -> None:
-        entries = payload["entries"]
-        generation = int(payload.get("generation", 0))
-        for key in self._drops:
-            entries.pop(key, None)
-        for key, size in self._writes.items():
-            entry = entries.setdefault(key, {})
-            entry["size"] = size
-            entry["gen"] = generation
-        for key, atime in self._touches.items():
-            entry = entries.setdefault(key, {"size": 0, "gen": generation})
-            entry["atime"] = max(float(entry.get("atime") or 0.0), atime)
-        counters = payload.setdefault("counters", {})
-        for name, delta in self._counters.items():
-            counters[name] = counters.get(name, 0) + delta
+
+def _dump(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -356,16 +264,14 @@ class CampaignManifest:
             self._write()
 
     def _write(self) -> None:
+        payload = {
+            "pid": self.pid,
+            "created": time.time(),
+            "label": self.label,
+            "specs": sorted(self._keys),
+        }
         try:
-            _atomic_write_json(
-                self.path,
-                {
-                    "pid": self.pid,
-                    "created": time.time(),
-                    "label": self.label,
-                    "specs": sorted(self._keys),
-                },
-            )
+            fsio.write_text(self.path, _dump(payload), durable=True)
         except OSError:
             pass  # read-only store: pinning is advisory, never fatal
 
@@ -389,13 +295,10 @@ def live_pins(root: str | Path) -> set[str]:
     if not manifest_dir.is_dir():
         return pins
     for path in manifest_dir.glob("*.json"):
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+        status, payload = fsio.read_json(path)
+        if status != fsio.OK or not isinstance(payload, dict):
             continue
-        if not isinstance(payload, dict):
-            continue
-        if not _pid_alive(int(payload.get("pid") or 0)):
+        if not fsio.pid_alive(int(payload.get("pid") or 0)):
             continue
         specs = payload.get("specs")
         if isinstance(specs, list):
@@ -475,7 +378,7 @@ class SingleFlight:
                 )
             except OSError:
                 return False  # vanished: not stale, just gone
-        if not _pid_alive(pid):
+        if not fsio.pid_alive(pid):
             return True
         return time.time() - created > self.stale_s
 
@@ -545,7 +448,7 @@ def live_claims(root: str | Path, *, stale_s: float = DEFAULT_CLAIM_STALE_S) -> 
             created = float(payload.get("created") or 0.0)
         except (OSError, json.JSONDecodeError, UnicodeDecodeError, ValueError):
             continue
-        if _pid_alive(pid) and now - created <= stale_s:
+        if fsio.pid_alive(pid) and now - created <= stale_s:
             claims.add(key)
     return claims
 
@@ -606,31 +509,21 @@ def collect_garbage(
 
     Never removes an entry pinned by a live manifest or claimed by a
     live single-flight holder, even when that leaves the store over
-    budget.  The last-access order comes from the index where known and
-    from file mtimes otherwise; fresh puts racing the GC are protected
+    budget.  The last-access order is the file mtime, which every write
+    sets and every hit refreshes; fresh puts racing the GC are protected
     by their mtime (now-ish) and by the committing scheduler's manifest.
     """
     if max_bytes is None and max_age_s is None:
         raise ValueError("collect_garbage needs max_bytes and/or max_age_s")
     if now is None:
         now = time.time()
-    store.flush_index()
-    index = store.index.load()
-    indexed = index.get("entries", {})
     on_disk = scan_entries(store.root)
     pins = live_pins(store.root)
     claims = live_claims(store.root)
 
-    # (atime, key, size): LRU order, index atime preferred over mtime.
+    # (mtime, key, size): LRU order.
     ranked = sorted(
-        (
-            max(
-                float((indexed.get(key) or {}).get("atime") or 0.0), mtime
-            ),
-            key,
-            size,
-        )
-        for key, (size, mtime) in on_disk.items()
+        (mtime, key, size) for key, (size, mtime) in on_disk.items()
     )
     report = GcReport(
         examined=len(ranked),
@@ -675,7 +568,6 @@ def collect_garbage(
             (store.root / key[:2] / f"{key}.json").unlink()
         except OSError:
             continue
-        store.index.drop(key)
     report.kept = report.examined - report.evicted
     report.kept_bytes = report.examined_bytes - report.evicted_bytes
 
@@ -697,46 +589,22 @@ class CompactReport:
     """What one :func:`compact_store` pass cleaned up."""
 
     removed_shards: int = 0
-    index_entries_dropped: int = 0
     entries: int = 0
     total_bytes: int = 0
 
     def summary(self) -> str:
         return (
-            f"removed {self.removed_shards} empty shard dir(s), dropped "
-            f"{self.index_entries_dropped} dangling index entr(ies); "
+            f"removed {self.removed_shards} empty shard dir(s); "
             f"{self.entries} entries, {_fmt_bytes(self.total_bytes)} live"
         )
 
 
 def compact_store(store: "ResultStore") -> CompactReport:
-    """Drop empty shard directories and re-anchor the index to disk truth.
-
-    Index entries whose file is gone (evicted by another process, or a
-    lost batch) are dropped; files unknown to the index are adopted with
-    their mtime as access time.  Counters and generation are preserved.
-    """
-    store.flush_index()
+    """Drop empty shard directories and report what is live on disk."""
     report = CompactReport()
     on_disk = scan_entries(store.root)
     report.entries = len(on_disk)
     report.total_bytes = sum(size for size, _m in on_disk.values())
-
-    payload = store.index.load()
-    entries = payload.get("entries", {})
-    dangling = set(entries) - set(on_disk)
-    for key in dangling:
-        entries.pop(key, None)
-    report.index_entries_dropped = len(dangling)
-    generation = int(payload.get("generation", 0))
-    for key, (size, mtime) in on_disk.items():
-        entry = entries.setdefault(key, {"gen": generation, "atime": mtime})
-        entry["size"] = size
-        entry.setdefault("atime", mtime)
-    try:
-        _atomic_write_json(store.index.path, payload)
-    except OSError:
-        pass
 
     root = Path(store.root)
     if root.is_dir():
@@ -872,7 +740,7 @@ def sweep_orphans(
             except (OSError, json.JSONDecodeError, UnicodeDecodeError,
                     ValueError):
                 pid = 0
-            if _pid_alive(pid):
+            if fsio.pid_alive(pid):
                 continue
             try:
                 path.unlink()
@@ -954,7 +822,7 @@ def store_report(store: "ResultStore") -> StoreReport:
     report.pins = len(live_pins(root))
     report.claims = len(live_claims(root))
     if root.is_dir():
-        quarantine = root / "quarantine"
+        quarantine = root / fsio.QUARANTINE_DIR
         if quarantine.is_dir():
             report.quarantined = sum(1 for _ in quarantine.iterdir())
         report.tmp_orphans = len(_tmp_litter(root))

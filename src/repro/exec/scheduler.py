@@ -66,7 +66,9 @@ try:  # POSIX only; telemetry degrades gracefully without it
 except ImportError:  # pragma: no cover
     _resource = None
 
-DEFAULT_HEARTBEAT_S = 30.0
+HEARTBEAT_S = 30.0
+"""Interval of the straggler heartbeat emitted to the observability event
+log while the pool is draining; read at call time."""
 
 
 class SchedulerError(RuntimeError):
@@ -147,9 +149,6 @@ class Scheduler:
         metrics: Optional campaign-wide fold of every lifecycle record.
         progress: Default progress callback for :meth:`run` (a per-call
             callback overrides it).
-        heartbeat_s: Interval of the straggler heartbeat emitted to the
-            observability event log while the pool is draining; must be
-            positive.  Irrelevant while :mod:`repro.obs` is disabled.
         single_flight: Cross-process dedup via claim files (default on;
             no effect without a store).  Disable only for stores on
             filesystems where exclusive-create is unreliable.
@@ -164,7 +163,6 @@ class Scheduler:
         retries: int = 2,
         metrics: ExecutionMetrics | None = None,
         progress: Callable[[str], None] | None = None,
-        heartbeat_s: float = DEFAULT_HEARTBEAT_S,
         single_flight: bool = True,
     ) -> None:
         if max_workers < 1:
@@ -173,15 +171,12 @@ class Scheduler:
             raise ValueError("retries must be >= 0")
         if timeout_s is not None and not timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-        if not heartbeat_s > 0:
-            raise ValueError(f"heartbeat_s must be positive, got {heartbeat_s}")
         self.max_workers = max_workers
         self.store = store
         self.timeout_s = timeout_s
         self.retries = retries
         self.metrics = metrics
         self.progress = progress
-        self.heartbeat_s = heartbeat_s
         self.single_flight = single_flight
 
     # ------------------------------------------------------------------
@@ -473,7 +468,7 @@ class Scheduler:
             last_progress = start
             last_beat = start
             while pending:
-                timeout = self.heartbeat_s if observed else None
+                timeout = HEARTBEAT_S if observed else None
                 if deadline is not None:
                     remaining = max(deadline - time.monotonic(), 0.0)
                     timeout = (
@@ -512,7 +507,7 @@ class Scheduler:
                 if (
                     pending
                     and observed
-                    and (not finished or now - last_beat >= self.heartbeat_s)
+                    and (not finished or now - last_beat >= HEARTBEAT_S)
                 ):
                     # Periodic progress beat: fires when nothing completed
                     # for a whole interval (the straggler case) and at

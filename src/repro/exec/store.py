@@ -9,15 +9,14 @@ campaign does not pile thousands of files into one directory):
 Each entry records a schema version, the spec hash and spec fields (for
 auditability), and the flattened
 :class:`~repro.leakctl.energy.NetSavingsResult`.  Writes are atomic and
-durable (temp file created *in the destination shard*, fsynced, then
-``os.replace``; the shard directory — and, for a brand-new shard, the
-store root — is fsynced after), so a crashed, killed, or power-cut
-campaign can never leave a half-written entry that later reads as a
-(wrong) hit: anything unreadable, schema-mismatched, or mis-keyed is
-treated as a miss, quarantined out of the shard tree, and transparently
-re-run.
+durable (:func:`repro.fsio.write_text` with ``durable=True``), so a
+crashed, killed, or power-cut campaign can never leave a half-written
+entry that later reads as a (wrong) hit: anything unreadable,
+schema-mismatched, or mis-keyed is treated as a miss, quarantined out of
+the shard tree, and transparently re-run.
 
-Failure taxonomy on read — the distinction matters:
+Failure taxonomy on read (:func:`repro.fsio.read_json`) — the
+distinction matters:
 
 * **absent** — no file: a plain miss.
 * **transient** (``EACCES``, ``EMFILE``, an NFS hiccup): a plain miss
@@ -27,21 +26,23 @@ Failure taxonomy on read — the distinction matters:
   miss, and the shard is moved into ``<root>/quarantine/`` so it stays
   inspectable and never becomes a repeat offender.
 
-Lifecycle management — the per-entry size/recency index, LRU eviction
-under size/age budgets, pin manifests, single-flight claims, compaction
-and the orphan sweep — lives in :mod:`repro.exec.lifecycle`; the store
-feeds it through :attr:`ResultStore.index`.
+The filesystem is the only book of an entry's size and recency: a hit
+refreshes the file's mtime, which is what LRU eviction ranks by.
+Lifecycle management — lifetime counters, eviction under size/age
+budgets, pin manifests, single-flight claims, compaction and the orphan
+sweep — lives in :mod:`repro.exec.lifecycle`; the store feeds the
+counters through :attr:`ResultStore.index`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
-import time
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+from repro import fsio
 from repro import obs as _obs
 from repro.exec.lifecycle import StoreIndex
 from repro.exec.spec import CODE_VERSION, RunSpec
@@ -49,9 +50,6 @@ from repro.leakctl.energy import NetSavingsResult
 
 STORE_SCHEMA_VERSION = 1
 """Entry layout version; a mismatch invalidates the entry (clean re-run)."""
-
-QUARANTINE_DIR = "quarantine"
-"""Subdirectory (under the store root) where corrupt shards are moved."""
 
 
 @dataclass
@@ -124,19 +122,23 @@ class ResultStore:
         if status == "hit":
             self.stats.hits += 1
             _obs.incr("store.hits")
-            self.index.touch(key)
+            # The mtime is the entry's recency; failing to refresh it only
+            # makes the entry look older to GC.
+            with contextlib.suppress(OSError):
+                os.utime(path)
             self.index.bump("hits")
             return result
         self.stats.misses += 1
         _obs.incr("store.misses")
         self.index.bump("misses")
-        if status == "corrupt":
+        if status == fsio.CORRUPT:
             self.stats.invalid += 1
             _obs.incr("store.invalid")
             self.index.bump("invalid")
-            self.index.drop(key)
-            self._quarantine(path)
-        elif status == "transient":
+            if fsio.quarantine(self.root, path) is not None:
+                self.stats.quarantined += 1
+                _obs.incr("store.quarantined")
+        elif status == fsio.TRANSIENT:
             self.stats.read_errors += 1
             _obs.incr("store.read_errors")
             self.index.bump("read_errors")
@@ -160,70 +162,32 @@ class ResultStore:
     ) -> tuple[str, NetSavingsResult | None]:
         """Classify one entry: ``(status, result)``.
 
-        Status is ``"hit"`` (valid entry), ``"absent"`` (no file),
-        ``"transient"`` (read error worth retrying later), or
-        ``"corrupt"`` (decode/schema/key damage — quarantine material).
+        Status is ``"hit"`` (valid entry) or one of :mod:`repro.fsio`'s
+        ``ABSENT`` / ``TRANSIENT`` / ``CORRUPT``; decoded JSON that fails
+        the schema, key or result-field check is ``CORRUPT`` too.
         """
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return "absent", None
-        except UnicodeDecodeError:
-            return "corrupt", None
-        except OSError:
-            return "transient", None
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            return "corrupt", None
+        status, payload = fsio.read_json(path)
+        if status != fsio.OK:
+            return status, None
         if (
             not isinstance(payload, dict)
             or payload.get("schema_version") != STORE_SCHEMA_VERSION
             or payload.get("spec_hash") != key
         ):
-            return "corrupt", None
+            return fsio.CORRUPT, None
         result_fields = payload.get("result")
         known = {f.name for f in fields(NetSavingsResult)}
         if not isinstance(result_fields, dict) or set(result_fields) != known:
-            return "corrupt", None
+            return fsio.CORRUPT, None
         try:
             return "hit", NetSavingsResult(**result_fields)
         except TypeError:
-            return "corrupt", None
-
-    def _quarantine(self, path: Path) -> Path | None:
-        """Move a corrupt shard to ``<root>/quarantine/`` for post-mortems.
-
-        The destination name is suffixed with a timestamp so repeated
-        corruption of the same key never overwrites earlier evidence.
-        Quarantine failures are swallowed: the entry already counts as a
-        miss, and a read-only or racing filesystem must not break a run.
-        """
-        dest_dir = self.root / QUARANTINE_DIR
-        dest = dest_dir / f"{path.name}.{time.time_ns()}"
-        try:
-            dest_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, dest)
-        except OSError:
-            return None
-        self.stats.quarantined += 1
-        _obs.incr("store.quarantined")
-        return dest
+            return fsio.CORRUPT, None
 
     def put(self, spec: RunSpec, result: NetSavingsResult) -> Path:
-        """Atomically and durably persist ``result`` under the spec hash.
-
-        The temp file is created in the destination shard directory (so
-        ``os.replace`` never crosses filesystems) and fsynced before the
-        rename; the shard directory is fsynced after — and when this put
-        created a brand-new shard directory, the store root is fsynced
-        too, or a power cut could drop the whole shard's directory entry.
-        """
+        """Atomically and durably persist ``result`` under the spec hash."""
         key = spec.content_hash()
         path = self.root / key[:2] / f"{key}.json"
-        shard = path.parent
-        new_shard = not shard.is_dir()
-        shard.mkdir(parents=True, exist_ok=True)
         payload = {
             "schema_version": STORE_SCHEMA_VERSION,
             "code_version": CODE_VERSION,
@@ -232,47 +196,15 @@ class ResultStore:
             "result": asdict(result),
         }
         blob = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(
-            dir=shard, prefix=f".{key[:8]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
-            self._fsync_dir(shard)
-            if new_shard:
-                self._fsync_dir(self.root)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        fsio.write_text(path, blob, durable=True)
         self.stats.writes += 1
         _obs.incr("store.writes")
-        self.index.record_write(key, len(blob))
         self.index.bump("writes")
         return path
 
     def flush_index(self) -> None:
-        """Persist buffered index accounting (best-effort, never raises)."""
+        """Persist buffered index counters (best-effort, never raises)."""
         self.index.flush()
-
-    @staticmethod
-    def _fsync_dir(directory: Path) -> None:
-        """Flush a directory entry (rename durability); best-effort."""
-        try:
-            fd = os.open(directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - e.g. platforms without dir fds
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)
 
     def __len__(self) -> int:
         """Number of committed entries on disk (``.tmp`` orphans and the

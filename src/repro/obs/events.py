@@ -28,7 +28,7 @@ by the instrumented layers:
 ``phase_started``   a campaign phase opened
 ``phase_finished``  a campaign phase closed (with its wall seconds)
 ``store_gc``        a store GC pass ran (evicted/kept/pinned counts)
-``store_compacted`` empty shards dropped, index re-anchored to disk
+``store_compacted`` empty shard directories dropped (live entry count)
 ``store_swept``     orphaned .tmp/claim/manifest litter and stale
                     DC-solve sidecar generations removed
 ``batch_finished``  a scheduler batch completed (jobs/cached/executed/wall)

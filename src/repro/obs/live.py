@@ -1,7 +1,7 @@
 """``repro report --live``: an auto-refreshing HTML status page.
 
 Builds ``live.html`` next to the usual ``report.html``, rewritten
-atomically (temp sibling + ``os.replace``) every interval so a browser
+atomically (:func:`repro.fsio.write_text`) every interval so a browser
 — or anything else reading the file — never sees a torn page.  While
 the campaign is running the page carries a ``<meta http-equiv=refresh>``
 so a plain browser tab self-updates with zero scripting; the tag is
@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from repro.obs.metrics import atomic_write
+from repro.fsio import write_text
 from repro.obs.report import RunSample, esc, render_page
 from repro.obs.state import CampaignMonitor, CampaignState
 from repro.obs.tail import JsonlTailer
@@ -161,8 +161,7 @@ class LiveReporter:
             runs=self._runs,
             refresh_s=None if state.finished is not None else refresh_s,
         )
-        self.out_path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.out_path, page)
+        write_text(self.out_path, page, durable=False)
         return self.out_path
 
 

@@ -14,11 +14,10 @@ folding that ``events.jsonl`` and rendering it gives the same files.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any
 
+from repro.fsio import write_text
 from repro.obs import core as _core
 from repro.obs.state import Buckets, CampaignState
 
@@ -26,7 +25,6 @@ __all__ = [
     "METRICS_JSON_FILENAME",
     "METRICS_PROM_FILENAME",
     "METRICS_SCHEMA_VERSION",
-    "atomic_write",
     "families",
     "render_prometheus",
     "reset_registry",
@@ -164,35 +162,18 @@ def to_dict(state: CampaignState) -> dict[str, Any]:
     return {"schema": METRICS_SCHEMA_VERSION, "metrics": metrics}
 
 
-def atomic_write(path: Path, text: str) -> None:
-    """Replace ``path`` with ``text`` via a temp sibling + ``os.replace``,
-    so a concurrent reader never sees a torn file."""
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{path.name}-", suffix=".tmp", dir=str(path.parent)
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def write_snapshot(
     state: CampaignState, directory: str | Path
 ) -> tuple[Path, Path]:
     """Atomically (re)write ``metrics.prom`` + ``metrics.json``."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     prom = directory / METRICS_PROM_FILENAME
     as_json = directory / METRICS_JSON_FILENAME
-    atomic_write(prom, render_prometheus(state))
-    atomic_write(
-        as_json, json.dumps(to_dict(state), indent=1, sort_keys=True) + "\n"
+    write_text(prom, render_prometheus(state), durable=False)
+    write_text(
+        as_json,
+        json.dumps(to_dict(state), indent=1, sort_keys=True) + "\n",
+        durable=False,
     )
     return prom, as_json
 

@@ -24,12 +24,12 @@ bounded: the only per-run state is the runs in flight and a
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.fsio import pid_alive
 from repro.obs.tail import JsonlTailer
 
 __all__ = [
@@ -97,19 +97,6 @@ def events_path(campaign: str | Path) -> Path:
     if path.is_file() or (not path.is_dir() and ".jsonl" in path.name):
         return path
     return path / EVENTS_FILENAME
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness probe; unknown errors count as alive."""
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except OSError:  # EPERM and friends: something is running there
-        return True
-    return True
 
 
 @dataclass(frozen=True)
@@ -387,7 +374,7 @@ class CampaignState:
         age = self.age_s(now)
         if age is None or age < STALL_AFTER_S or self.finished is not None:
             return False
-        return not _pid_alive(self.writer_pid)
+        return not pid_alive(self.writer_pid)
 
     def throughput(self) -> float | None:
         """Smoothed completions per second (None before two finishes)."""
@@ -516,7 +503,7 @@ class CampaignState:
             "last_event_kind": self.last_event_kind,
             "age_s": self.age_s(now),
             "writer_pid": self.writer_pid,
-            "writer_alive": _pid_alive(self.writer_pid),
+            "writer_alive": pid_alive(self.writer_pid),
             "batches": self.batches,
             "in_flight": [
                 {

@@ -51,6 +51,7 @@ BENCHMARKS = ("gzip", "vpr")
 def record_campaign() -> None:
     from repro import obs
     from repro.exec import ExecutionMetrics, ResultStore, Scheduler
+    from repro.exec import scheduler as sched_mod
     from repro.exec.scheduler import SchedulerError
     from repro.experiments import figures
     from repro.obs import metrics as obs_metrics
@@ -60,13 +61,10 @@ def record_campaign() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(Path(tmp) / "store")
         metrics = ExecutionMetrics()
-        pool = Scheduler(
-            max_workers=2, store=store, metrics=metrics, retries=1,
-            heartbeat_s=0.25,
-        )
+        pool = Scheduler(max_workers=2, store=store, metrics=metrics, retries=1)
         tight = Scheduler(
             max_workers=2, store=store, metrics=metrics, retries=1,
-            heartbeat_s=0.25, timeout_s=0.01,
+            timeout_s=0.01,
         )
         phases = (
             ("fig03_04_l2_5", figures.figure_3_4, pool, BENCHMARKS),
@@ -77,6 +75,7 @@ def record_campaign() -> None:
         )
         obs.enable(str(HERE / "events.jsonl"))
         obs_metrics.reset_registry()
+        heartbeat_s, sched_mod.HEARTBEAT_S = sched_mod.HEARTBEAT_S, 0.25
         started = time.time()
         failed = []
         try:
@@ -107,6 +106,7 @@ def record_campaign() -> None:
             GOLDEN.mkdir(exist_ok=True)
             obs_metrics.write_registry_snapshot(GOLDEN)
             obs.disable()
+            sched_mod.HEARTBEAT_S = heartbeat_s
     # The scheduler also snapshots at every batch boundary next to the
     # log; only the final snapshot (in golden/) is kept.
     for name in ("metrics.prom", "metrics.json"):
@@ -140,8 +140,8 @@ def render_views(campaign: str = CAMPAIGN) -> dict[str, str]:
         "diff.txt": _cli(["diff", campaign, campaign]),
         "report.html": build_report(campaign),
     }
-    alive = state._pid_alive
-    state._pid_alive = lambda pid: False
+    alive = state.pid_alive
+    state.pid_alive = lambda pid: False
     try:
         buf = io.StringIO()
         code = watch_campaign(
@@ -149,7 +149,7 @@ def render_views(campaign: str = CAMPAIGN) -> dict[str, str]:
             clock=lambda: WATCH_NOW,
         )
     finally:
-        state._pid_alive = alive
+        state.pid_alive = alive
     if code != 0:
         raise RuntimeError(f"watch exited {code}")
     views["watch.json"] = buf.getvalue()

@@ -257,8 +257,6 @@ class TestScheduler:
             Scheduler(timeout_s=0)
         with pytest.raises(ValueError, match="timeout_s"):
             Scheduler(timeout_s=-5.0)
-        with pytest.raises(ValueError, match="heartbeat_s"):
-            Scheduler(heartbeat_s=0)
 
 
 class TestPoolTimeout:

@@ -82,12 +82,8 @@ def fill_sidecar(store: ResultStore, count: int) -> list[Path]:
 
 
 def age_entry(store: ResultStore, spec: RunSpec, when: float) -> None:
-    """Backdate an entry's last use: file mtime AND flushed index atime
-    (GC ranks by the max of the two, so both must move)."""
+    """Backdate an entry's last use (its file mtime)."""
     os.utime(store.path_for(spec), (when, when))
-    payload = json.loads(store.index.path.read_text())
-    payload["entries"][spec.content_hash()]["atime"] = when
-    store.index.path.write_text(json.dumps(payload))
 
 
 class TestParsers:
@@ -136,61 +132,83 @@ class TestParsers:
 
 class TestStoreIndex:
     def test_touches_batch_until_flushed(self, tmp_path):
-        index = StoreIndex(tmp_path, flush_every=1000)
-        index.record_write("a" * 64, 100)
-        index.touch("a" * 64)
-        assert not index.path.exists()  # still buffered
-        assert index.flush()
-        payload = json.loads(index.path.read_text())
-        assert payload["entries"]["a" * 64]["size"] == 100
-        assert not index.dirty
+        """Store hits bump the lifetime counters in memory only; a flush
+        writes counters and generation, and no per-entry table."""
+        store = ResultStore(tmp_path / "cache")
+        (spec,) = fill_store(store, 1)
+        assert store.get(spec) is not None
+        assert store.get(spec) is not None
+        assert store.index.dirty
+        assert json.loads(store.index.path.read_text())["counters"] == {
+            "writes": 1
+        }
+        store.flush_index()
+        assert json.loads(store.index.path.read_text()) == {
+            "schema_version": 1,
+            "generation": 0,
+            "counters": {"writes": 1, "hits": 2},
+        }
+        assert not store.index.dirty
 
-    def test_auto_flush_at_threshold(self, tmp_path):
-        index = StoreIndex(tmp_path, flush_every=3)
-        index.touch("a" * 64)
-        index.touch("b" * 64)
+    def test_auto_flush_at_threshold(self, tmp_path, monkeypatch):
+        from repro.exec import lifecycle
+
+        monkeypatch.setattr(lifecycle, "FLUSH_EVERY", 3)
+        index = StoreIndex(tmp_path)
+        index.bump("hits")
+        index.bump("hits")
         assert not index.path.exists()
-        index.touch("c" * 64)  # third op crosses the threshold
+        index.bump("misses")  # third op crosses the threshold
         assert index.path.exists()
 
     def test_concurrent_writers_merge_not_clobber(self, tmp_path):
         """Two index instances (two processes in real life) flushing
         interleaved must both land: load-merge-write, not overwrite."""
-        one = StoreIndex(tmp_path, flush_every=1000)
-        two = StoreIndex(tmp_path, flush_every=1000)
-        one.record_write("a" * 64, 10)
+        one = StoreIndex(tmp_path)
+        two = StoreIndex(tmp_path)
+        one.bump("writes")
         one.bump("hits", 3)
-        two.record_write("b" * 64, 20)
+        two.bump("writes")
         two.bump("hits", 4)
         one.flush()
         two.flush()
         payload = json.loads((tmp_path / "index.json").read_text())
-        assert set(payload["entries"]) == {"a" * 64, "b" * 64}
-        assert payload["counters"]["hits"] == 7
+        assert payload["counters"] == {"hits": 7, "writes": 2}
 
-    def test_corrupt_index_rebuilds_from_walk(self, tmp_path):
+    def test_corrupt_index_loads_as_empty(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
-        specs = fill_store(store, 2)
+        fill_store(store, 2)
         store.index.path.write_text("}{ definitely not json")
-        payload = store.index.load()
-        assert set(payload["entries"]) == {
-            s.content_hash() for s in specs
+        assert store.index.load() == {
+            "schema_version": 1, "generation": 0, "counters": {},
         }
-        # Sizes come from the filesystem walk.
-        for spec in specs:
-            key = spec.content_hash()
-            assert payload["entries"][key]["size"] == (
-                store.path_for(spec).stat().st_size
-            )
+        store.index.bump("hits")
+        assert store.index.flush()
+        assert store_report(store).counters == {"hits": 1}
 
-    def test_atime_merges_to_max(self, tmp_path):
-        index = StoreIndex(tmp_path, flush_every=1000)
-        index.touch("a" * 64, now=100.0)
-        index.flush()
-        index.touch("a" * 64, now=50.0)  # stale touch must not regress
-        index.flush()
-        payload = json.loads(index.path.read_text())
-        assert payload["entries"]["a" * 64]["atime"] == 100.0
+    def test_legacy_entries_table_is_dropped_on_next_flush(self, tmp_path):
+        """An index.json written when it still kept a per-entry table
+        keeps its counters and generation; the table goes on the next
+        flush."""
+        store = ResultStore(tmp_path / "cache")
+        store.root.mkdir()
+        store.index.path.write_text(json.dumps({
+            "schema_version": 1,
+            "generation": 4,
+            "counters": {"hits": 10, "writes": 3},
+            "entries": {"a" * 64: {"size": 100, "gen": 2, "atime": 5.0}},
+        }))
+        report = store_report(store)
+        assert (report.generation, report.counters) == (
+            4, {"hits": 10, "writes": 3}
+        )
+        store.index.bump("hits")
+        assert store.index.flush()
+        assert json.loads(store.index.path.read_text()) == {
+            "schema_version": 1,
+            "generation": 4,
+            "counters": {"hits": 11, "writes": 3},
+        }
 
 
 class TestStoreReport:
@@ -263,19 +281,22 @@ class TestGc:
         assert store.path_for(specs[3]).exists()
 
     def test_index_atime_outranks_mtime(self, tmp_path):
-        """A hit recorded in the index protects an entry whose file mtime
-        is ancient — recency is use, not write time."""
+        """A hit is a use, and recency is use, not write time.  Entries
+        A, B and C, all one size, were last used at t=1000, 1001 and
+        1002.  A hit on A moves A's mtime to now, so the use order is
+        B, C, A.  A budget of two entries must evict exactly one, the
+        least recently used: B, the middle entry by write time."""
         store = ResultStore(tmp_path / "cache")
-        specs = fill_store(store, 3)
-        for i, spec in enumerate(specs):
-            age_entry(store, spec, 1000.0 + i)
-        # Entry 0 has the oldest mtime but was just used.
-        store.index.touch(specs[0].content_hash(), now=1900.0)
-        store.flush_index()
-        entry_size = store.path_for(specs[0]).stat().st_size
-        report = collect_garbage(store, max_bytes=entry_size + 1, now=2000.0)
-        assert report.evicted == 2
-        assert store.path_for(specs[0]).exists()
+        a, b, c = fill_store(store, 3)
+        for when, spec in zip((1000.0, 1001.0, 1002.0), (a, b, c)):
+            age_entry(store, spec, when)
+        assert store.get(a) is not None
+        entry_size = store.path_for(a).stat().st_size
+        report = collect_garbage(store, max_bytes=2 * entry_size + 1)
+        assert report.evicted_keys == [b.content_hash()]
+        assert store.path_for(a).exists()
+        assert not store.path_for(b).exists()
+        assert store.path_for(c).exists()
 
     def test_survivors_stay_byte_identical_warm_hits(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -396,34 +417,21 @@ class TestCompact:
         report = compact_store(store)
         assert report.entries == 2
         assert all(p.exists() for p in paths)
-        assert set(store.index.load()["entries"]).isdisjoint(p.stem for p in paths)
 
-    def test_removes_empty_shards_and_dangling_index_entries(self, tmp_path):
+    def test_removes_empty_shards_without_writing_the_index(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
         specs = fill_store(store, 3)
         shards_before = {
             p.name for p in store.root.iterdir() if len(p.name) == 2
         }
         collect_garbage(store, max_bytes=0)
-        # Fake a dangling index entry (e.g. another process lost a race).
-        store.index.record_write("e" * 64, 123)
-        store.flush_index()
+        index_inode = store.index.path.stat().st_ino
         report = compact_store(store)
         assert report.removed_shards == len(shards_before)
-        assert report.index_entries_dropped >= 1
         assert report.entries == 0
         for spec in specs:
             assert not store.path_for(spec).parent.exists()
-
-    def test_adopts_unindexed_files(self, tmp_path):
-        store = ResultStore(tmp_path / "cache")
-        specs = fill_store(store, 2)
-        store.index.path.unlink()  # lose the index entirely
-        compact_store(store)
-        payload = store.index.load()
-        assert set(payload["entries"]) == {
-            s.content_hash() for s in specs
-        }
+        assert store.index.path.stat().st_ino == index_inode  # not rewritten
 
 
 class TestSweep:

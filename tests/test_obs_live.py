@@ -150,10 +150,10 @@ class TestCampaignState:
         _feed(s, [_ev("run_started", T0, spec="a", slot=0)])
         later = T0 + state_mod.STALL_AFTER_S + 5
 
-        monkeypatch.setattr(state_mod, "_pid_alive", lambda pid: True)
+        monkeypatch.setattr(state_mod, "pid_alive", lambda pid: True)
         assert s.status(later) == "running"
 
-        monkeypatch.setattr(state_mod, "_pid_alive", lambda pid: False)
+        monkeypatch.setattr(state_mod, "pid_alive", lambda pid: False)
         assert s.status(later) == "stalled"
         kinds = [a.kind for a in s.anomalies(later)]
         assert "stall" in kinds
@@ -165,7 +165,7 @@ class TestCampaignState:
         assert s.in_flight == {}
         assert s.eta_s() is None
         # A dead pid long after the fact is NOT a stall once finished.
-        monkeypatch.setattr(state_mod, "_pid_alive", lambda pid: False)
+        monkeypatch.setattr(state_mod, "pid_alive", lambda pid: False)
         assert s.status(T0 + 10_000) == "done"
 
     def test_failed_campaign_status(self):
@@ -358,7 +358,7 @@ class TestLivePage:
     def test_anomalies_rendered(self, monkeypatch):
         s = CampaignState()
         _feed(s, [_ev("run_started", T0, spec="a", slot=0)])
-        monkeypatch.setattr(state_mod, "_pid_alive", lambda pid: False)
+        monkeypatch.setattr(state_mod, "pid_alive", lambda pid: False)
         page = build_live_page(
             s, refresh_s=2.0, now=T0 + state_mod.STALL_AFTER_S + 5
         )

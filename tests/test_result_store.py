@@ -321,17 +321,28 @@ class TestTransientReadErrors:
         assert store.stats.lookups == 0
 
 
+class TestRecency:
+    def test_failed_recency_refresh_is_still_a_hit(self, store, spec, monkeypatch):
+        """A store the process may read but not utime (another user's
+        files) still serves its entries."""
+        store.put(spec, make_result())
+
+        def denied(*args, **kwargs):
+            raise PermissionError(1, "Operation not permitted")
+
+        monkeypatch.setattr("repro.exec.store.os.utime", denied)
+        assert store.get(spec) == make_result()
+        assert store.stats.hits == 1
+        assert store.stats.misses == 0
+
+
 class TestDurability:
     def test_new_shard_creation_fsyncs_store_root(self, store, spec, monkeypatch):
         """Regression: the shard directory was fsynced but the store root
         was not, so a power cut after creating a brand-new shard could
         drop the whole shard's directory entry."""
-        from repro.exec.store import ResultStore
-
         synced = []
-        monkeypatch.setattr(
-            ResultStore, "_fsync_dir", staticmethod(synced.append)
-        )
+        monkeypatch.setattr("repro.fsio.fsync_dir", synced.append)
         store.put(spec, make_result())
         shard = store.path_for(spec).parent
         assert synced == [shard, store.root]
