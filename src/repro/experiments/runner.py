@@ -11,6 +11,13 @@ technique.  The cache holds reduced :class:`BaselineSummary` entries
 (cycles + energy totals), not whole run outputs.  Cross-process and
 cross-invocation caching of entire figure points lives in
 :mod:`repro.exec` (see ``docs/EXECUTION.md``).
+
+Run inputs are cached too: each trace is generated, and its functional
+warm-up replayed, once per process.  One bounded memo keeps the
+post-warm-up snapshot and the measured ops per (benchmark, seed, run
+lengths, RNG mode, machine shape); the key holds no latency, so every L2
+latency of a figure sweep restores the same entry (``docs/PERFORMANCE.md``
+§4).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro import obs as _obs
 from repro.cache.cache import Cache
@@ -38,6 +46,7 @@ from repro.leakctl.base import (
 )
 from repro.leakctl.controlled import ControlledCache, StandbyStats
 from repro.leakctl.energy import NetSavingsResult, net_savings
+from repro.memo import LRUMemo
 from repro.obs.timeseries import RunRecorder
 from repro.obs import timeseries as _ts
 from repro.power.wattch import EnergyAccountant, default_power_config
@@ -48,29 +57,6 @@ DEFAULT_N_OPS = 20_000
 DEFAULT_WARMUP_OPS = 30_000
 DEFAULT_DECAY_INTERVAL = 4096
 DEFAULT_SEED = 1
-
-# Materialised synthetic traces, shared across runs.  A figure point
-# simulates the baseline and the technique over the *same* deterministic
-# op stream, and a sweep replays it for every point — generating it once
-# and iterating a tuple is pure win.  MicroOps are never mutated
-# downstream, so sharing is safe.  Small bound: entries are a few MB each.
-_TRACE_MEMO: dict[tuple, tuple] = {}
-_TRACE_MEMO_MAX = 4
-
-
-def _trace_cached(
-    benchmark: str, seed: int, n_ops: int, rng_mode: str
-) -> tuple:
-    key = (benchmark, seed, n_ops, rng_mode)
-    ops = _TRACE_MEMO.get(key)
-    if ops is None:
-        ops = tuple(
-            TraceGenerator(benchmark, seed=seed, rng_mode=rng_mode).ops(n_ops)
-        )
-        if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
-            _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-        _TRACE_MEMO[key] = ops
-    return ops
 
 # The decay-interval sweep grid: the paper sweeps 1k..64k cycles; we use
 # 1k..32k (the top octave never decays anything within our compressed
@@ -105,17 +91,41 @@ class RunOutput:
     recorder: RunRecorder | None = None
 
 
-# Memoised post-warmup machine state.  The functional warmup is a pure
-# function of (trace prefix, machine config): it deterministically fills
-# cache lines and trains the predictor/BTB, records no energy events, and
-# never touches the leakage-mode fields (it drives the raw caches
-# directly).  A figure point replays the identical warmup twice (baseline
-# + technique) and a sweep replays it per point, so snapshotting the warm
-# state and restoring it into the freshly-built structures skips the whole
-# 30k-op replay.  Restored runs are bit-identical to replayed ones (the
-# golden equivalence tests cover both paths).
-_WARMUP_MEMO: dict[tuple, tuple] = {}
-_WARMUP_MEMO_MAX = 8
+# Prepared run inputs, one entry per trace: the post-warm-up snapshot plus
+# the measured ops ``trace[warmup_ops:]``; the warm-up prefix is not kept.
+# The functional warm-up is a pure function of the trace prefix and the
+# machine's shapes (cache geometries, predictor and BTB sizes): it drives
+# the raw arrays directly, never reads a latency, records no energy events
+# and never touches the leakage-mode fields.  So, as the paper fast-forwards
+# each program once and measures it at every L2 latency, the first run of a
+# trace replays the warm-up and every later run — the other half of a
+# figure point, every technique, every L2 latency — restores the snapshot.
+# Restored runs are bit-identical to replayed ones (the golden equivalence
+# tests cover both paths).  The bound covers every benchmark profile.
+_RUN_INPUTS = LRUMemo(maxsize=16)
+
+
+class _RunInput(NamedTuple):
+    """One prepared trace: what a run needs beyond its fresh machine."""
+
+    tail: tuple  # the measured ops, trace[warmup_ops:]
+    warm_state: tuple | None  # post-warm-up snapshot (fast path)
+    warmup: tuple | None  # the warm-up prefix, replayed per run (reference)
+
+
+def _warmup_shape(machine: MachineConfig) -> tuple:
+    """The machine fields the functional warm-up reads: no latencies."""
+    return (
+        machine.l1i_geometry,
+        machine.l1d_geometry,
+        machine.l2_geometry,
+        machine.bimod_entries,
+        machine.gag_history_bits,
+        machine.gag_entries,
+        machine.chooser_entries,
+        machine.btb_entries,
+        machine.btb_assoc,
+    )
 
 
 def _snapshot_cache(cache) -> tuple:
@@ -358,37 +368,39 @@ def run_once(
             )
     else:
         rng_mode = "reference" if reference else "flat"
-        ops = _trace_cached(benchmark, seed, warmup_ops + n_ops, rng_mode)
-        if warmup_ops > 0:
-            if reference:
-                # Reference mode always replays the warmup trace.
-                _functional_warmup(
-                    hierarchy,
-                    pipeline,
-                    itertools.islice(iter(ops), warmup_ops),
-                    machine,
+        key = (
+            benchmark, seed, warmup_ops, n_ops, rng_mode,
+            _warmup_shape(machine),
+        )
+        entry = _RUN_INPUTS.get(key)
+        if entry is None:
+            trace = tuple(
+                TraceGenerator(benchmark, seed=seed, rng_mode=rng_mode).ops(
+                    warmup_ops + n_ops
                 )
-                _obs.incr("runner.warmup_replayed")
+            )
+            _obs.incr("runner.traces_generated")
+            prefix = trace[:warmup_ops]
+            if reference or not prefix:
+                entry = _RunInput(trace[warmup_ops:], None, prefix or None)
             else:
-                key = (benchmark, seed, warmup_ops, rng_mode, machine)
-                snap = _WARMUP_MEMO.get(key)
-                if snap is None:
-                    _functional_warmup(
-                        hierarchy,
-                        pipeline,
-                        itertools.islice(iter(ops), warmup_ops),
-                        machine,
-                    )
-                    if len(_WARMUP_MEMO) >= _WARMUP_MEMO_MAX:
-                        _WARMUP_MEMO.pop(next(iter(_WARMUP_MEMO)))
-                    _WARMUP_MEMO[key] = _snapshot_warm_state(
-                        hierarchy, pipeline
-                    )
-                    _obs.incr("runner.warmup_replayed")
-                else:
-                    _restore_warm_state(hierarchy, pipeline, snap)
-                    _obs.incr("runner.warmup_restored")
-        stream = iter(ops[warmup_ops:])
+                _functional_warmup(hierarchy, pipeline, prefix, machine)
+                _obs.incr("runner.warmup_replayed")
+                entry = _RunInput(
+                    trace[warmup_ops:],
+                    _snapshot_warm_state(hierarchy, pipeline),
+                    None,
+                )
+            del trace, prefix  # free the prefix before the measured run
+            _RUN_INPUTS[key] = entry
+        elif entry.warm_state is not None:
+            _restore_warm_state(hierarchy, pipeline, entry.warm_state)
+            _obs.incr("runner.warmup_restored")
+        if entry.warmup is not None:
+            # Reference mode replays the warm-up on every run.
+            _functional_warmup(hierarchy, pipeline, entry.warmup, machine)
+            _obs.incr("runner.warmup_replayed")
+        stream = iter(entry.tail)
     with _obs.span("runner.pipeline_run"):
         stats = pipeline.run(stream)
     _obs.incr("runner.runs")
@@ -576,14 +588,12 @@ def clear_caches() -> None:
     """Drop every memoised analytic result (for tests and benchmarks).
 
     Clears the baseline and leakage-model caches in this module, then
-    resets the whole registered analytic memo layer — DC solves, k_design
-    tables and surface fits, residual fractions — through
-    :func:`repro.memo.reset_all`.
+    resets every registered memo — the prepared run inputs here, DC
+    solves, k_design tables and surface fits, residual fractions —
+    through :func:`repro.memo.reset_all`.
     """
     from repro.memo import reset_all
 
     _baseline_cached.cache_clear()
     _leakage_model_cached.cache_clear()
-    _TRACE_MEMO.clear()
-    _WARMUP_MEMO.clear()
     reset_all()

@@ -107,6 +107,46 @@ class TestFullRunMatrix:
         _assert_identical(fast, slow)
 
 
+class TestRestoreAcrossL2Latencies:
+    """The run-input memo key holds no latency: a warm-up snapshot taken
+    at L2=5 must serve the runs at L2=8 and L2=17 by restore alone, and
+    each restored run must equal a reference run at the same latency, which
+    replays its own warm-up."""
+
+    @pytest.mark.parametrize("engine", ["ooo", "fast"])
+    @pytest.mark.parametrize("technique", ["gated-vss", None])
+    def test_restored_runs_match_reference(self, monkeypatch, engine, technique):
+        from repro.experiments import runner
+
+        replays = []
+        replay = runner._functional_warmup
+
+        def counting_replay(*args):
+            replays.append(None)
+            replay(*args)
+
+        monkeypatch.setattr(runner, "_functional_warmup", counting_replay)
+
+        def run(l2_latency, reference):
+            return run_once(
+                "mcf",
+                technique=technique_by_name(technique) if technique else None,
+                machine=MachineConfig().with_l2_latency(l2_latency),
+                n_ops=N_OPS,
+                warmup_ops=WARMUP_OPS,
+                engine=engine,
+                reference=reference,
+            )
+
+        run(5, reference=False)
+        assert len(replays) == 1  # the miss fills the memo
+        for l2_latency in (8, 17):
+            before = len(replays)
+            fast = run(l2_latency, reference=False)
+            assert len(replays) == before, f"L2={l2_latency} replayed"
+            _assert_identical(fast, run(l2_latency, reference=True))
+
+
 TINY = CacheGeometry(size_bytes=8 * 64 * 2, assoc=2, line_bytes=64)  # 8 sets
 
 

@@ -222,3 +222,68 @@ class TestOccupancyTelemetry:
         )
         ctl.advance(2000)
         assert ctl.occupancy_trace == []
+
+
+class TestRunInputMemo:
+    def test_one_trace_and_one_warmup_per_benchmark(self, monkeypatch):
+        """
+        A figure point runs a baseline and a technique over the same trace,
+        and the run-input memo key holds no latency.  Three benchmarks at
+        two L2 latencies with two techniques make 3 x 2 x 2 = 12 figure
+        points: 12 technique runs plus 3 x 2 = 6 baseline runs (the
+        baseline summary is memoised per latency, not per technique), 18
+        runs in all.  Only the first run of each benchmark misses the memo,
+        so each trace is generated once and each warm-up replayed once:
+        3 and 3.  The other 15 runs restore a snapshot.  Each of the 3
+        entries keeps the n_ops measured ops and none of the warm-up ops.
+        """
+        from repro import obs
+        from repro.experiments import runner
+        from repro.memo import reset_all
+        from repro.workloads.generator import TraceGenerator
+        from repro.workloads.profiles import BENCHMARK_NAMES
+
+        generated = []
+        ops = TraceGenerator.ops
+
+        def counting_ops(self, n_ops):
+            generated.append((self.profile.name, n_ops))
+            return ops(self, n_ops)
+
+        monkeypatch.setattr(TraceGenerator, "ops", counting_ops)
+        runner.clear_caches()
+        n_ops, benchmarks = 1000, ("gcc", "gzip", "mcf")
+        obs.enable()
+        try:
+            for benchmark in benchmarks:
+                for l2_latency in (5, 17):
+                    for technique in (drowsy_technique(), gated_vss_technique()):
+                        figure_point(
+                            benchmark, technique, l2_latency=l2_latency,
+                            n_ops=n_ops,
+                        )
+            counters = obs.counters()
+        finally:
+            obs.disable()
+            obs.reset()
+
+        assert sorted(name for name, _ in generated) == sorted(benchmarks)
+        assert counters["runner.runs"] == 18
+        assert counters["runner.traces_generated"] == 3
+        assert counters["runner.warmup_replayed"] == 3
+        assert counters["runner.warmup_restored"] == 15
+        memo = runner._RUN_INPUTS
+        entries = list(memo._data.values())
+        assert len(entries) == 3
+        for entry in entries:
+            assert len(entry.tail) == n_ops
+            assert entry.warmup is None
+            assert entry.warm_state is not None
+        assert memo.maxsize >= len(BENCHMARK_NAMES)
+
+        runner.clear_caches()
+        assert len(memo) == 0
+        run_once("gcc", technique=None, machine=MachineConfig(), n_ops=n_ops)
+        assert len(memo) == 1
+        reset_all()
+        assert len(memo) == 0
